@@ -61,10 +61,9 @@ class TorusElement:
     tail_l1: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
-        # normal form: no explicit zeros stored
-        dead = [k for k, c in self.coeffs.items() if c == 0]
-        for k in dead:
-            del self.coeffs[k]
+        # normal form: no explicit zeros stored; the caller's dict is left alone
+        if 0 in self.coeffs.values():
+            object.__setattr__(self, "coeffs", {k: c for k, c in self.coeffs.items() if c != 0})
 
     def support(self) -> list[Index]:
         return sorted(self.coeffs)
@@ -291,6 +290,17 @@ def random_selfadjoint(theta: float, box: int, seed: int) -> TorusElement:
         },
     )
     return scale(0.5, add(g, adjoint(g)))
+
+
+def random_element(theta: float, box: int, seed: int, terms: int = 6) -> TorusElement:
+    """Deterministic sum of `terms` random monomials with indices in [-box, box]^2."""
+    rng = np.random.default_rng(seed)
+    out = zero(theta)
+    for _ in range(terms):
+        m, n = rng.integers(-box, box + 1, size=2)
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        out = add(out, monomial(theta, int(m), int(n), c))
+    return out
 
 
 def truncate(a: TorusElement, box: int) -> TorusElement:

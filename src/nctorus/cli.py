@@ -26,6 +26,7 @@ from .algebra import (
     sub,
     trace,
     truncate,
+    zero,
 )
 from . import heisenberg as hb
 from . import models as md
@@ -110,7 +111,7 @@ def _config_dict(config: RunConfig) -> dict:
 # ------------------------------------------------------------------- commands
 
 
-def _instanton_measurements(p, theta):
+def _instanton_measurements(p):
     sa, idem = md.projection_defect(p)
     return {
         "selfadjointness_defect": sa,
@@ -134,7 +135,7 @@ def cmd_instanton(config: RunConfig) -> tuple[ModelReport, int]:
         return report, EXIT_NUMERICAL
 
     p = run.projection
-    residuals = _instanton_measurements(p, config.theta)
+    residuals = _instanton_measurements(p)
     residuals["inversion_residual"] = run.inversion_residual
     W = md.harmonic_from_projection(p)
     convergence = []
@@ -224,30 +225,51 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float]) -> tuple[Model
     return report, worst
 
 
-def _constrained_pairs(kind, phi, theta, seed, count):
-    """Scalar pair, zero pair, and solver-generated pairs off the null set."""
-    from .algebra import zero
-
+def _constrained_pairs(solve, phi, first, theta, seed, count):
+    """Scalar pair, zero pair, and solver-generated pairs off the null set
+    of first's leading index."""
     pairs = [md.ConstraintPair(zero(theta), zero(theta)),
              md.ConstraintPair(monomial(theta, 0, 0, 0.75), monomial(theta, 0, 0, 0.75))]
-    (p, q), _ = sorted((phi.phiU if kind == "endo" else phi.u).coeffs.items())[0]
+    p, q = min(first.coeffs)
     k = 0
     while len(pairs) < count:
         h = random_selfadjoint(theta, 3, seed + 13 * k)
         A = TorusElement(theta, {idx: c for idx, c in h.coeffs.items()
                                  if idx[1] * p != q * idx[0]})
         try:
-            if kind == "endo":
-                B = md.solve_constraint_for_B(A, phi)
-            else:
-                B = md.solve_su2_constraint_for_B(A, phi)
-            pairs.append(md.ConstraintPair(A, B))
+            pairs.append(md.ConstraintPair(A, solve(A, phi)))
         except md.ConstraintError:
             pass
         k += 1
         if k > 4 * count:
             break
     return pairs
+
+
+def _endo_residuals(phi, max_pairing):
+    return {"relation_residual": phi.relation_residual(),
+            "max_abs_pairing": max_pairing,
+            "relation_residual_after_ad": sym.ad_on_endo((1, 1), phi).relation_residual()}
+
+
+def _su2_residuals(phi, max_pairing):
+    return {"commutation_residuals": list(phi.commutation_residuals()),
+            "modulus_defect": phi.modulus_defect(),
+            "max_abs_pairing": max_pairing,
+            "energy_shift_under_ad": abs(md.su2_energy(sym.ad_on_coercive((1, 1), phi))
+                                         - md.su2_energy(phi))}
+
+
+def _matrix_models() -> dict:
+    """Per matrix model: builder, constraint solver, pairing, energy, the
+    generator whose leading index fixes the null set, and the residuals.
+    Built per call, so functions rebound on md or sym take effect."""
+    return {
+        "endo": (md.endo_from_matrix, md.solve_constraint_for_B, md.endo_el_pairing,
+                 md.endo_energy, lambda phi: phi.phiU, _endo_residuals),
+        "su2": (md.su2_from_matrix, md.solve_su2_constraint_for_B, md.su2_el_pairing,
+                md.su2_energy, lambda phi: phi.u, _su2_residuals),
+    }
 
 
 def cmd_models(config: RunConfig, model: str, matrix: tuple[int, int, int, int] | None,
@@ -272,55 +294,25 @@ def cmd_models(config: RunConfig, model: str, matrix: tuple[int, int, int, int] 
         return report, EXIT_OK
     if matrix is None:
         raise UsageError(f"model={model} needs --matrix p,q,r,s")
-    p, q, r, s = matrix
-    if model == "endo":
-        try:
-            phi = md.endo_from_matrix(theta, p, q, r, s)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        pairs = _constrained_pairs("endo", phi, theta, config.seed, 10)
-        pairings = [abs(md.endo_el_pairing(pair, phi)) for pair in pairs]
-        w = (1, 1)
-        phi2 = sym.ad_on_endo(w, phi)
-        rows = [{"pair": i, "abs_pairing": v} for i, v in enumerate(pairings)]
-        report = ModelReport(
-            model="endo", theta=theta,
-            inputs={**_config_dict(config), "matrix": [p, q, r, s]},
-            energy=md.endo_energy(phi),
-            residuals={
-                "relation_residual": phi.relation_residual(),
-                "max_abs_pairing": max(pairings),
-                "relation_residual_after_ad": phi2.relation_residual(),
-            },
-            tolerances=tolerance_dict(tol),
-            convergence=rows,
-        )
-        return report, EXIT_OK
-    if model == "su2":
-        try:
-            phi = md.su2_from_matrix(theta, p, q, r, s)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        pairs = _constrained_pairs("su2", phi, theta, config.seed, 10)
-        pairings = [abs(md.su2_el_pairing(pair, phi)) for pair in pairs]
-        c1, c2 = phi.commutation_residuals()
-        phi2 = sym.ad_on_coercive((1, 1), phi)
-        rows = [{"pair": i, "abs_pairing": v} for i, v in enumerate(pairings)]
-        report = ModelReport(
-            model="su2", theta=theta,
-            inputs={**_config_dict(config), "matrix": [p, q, r, s]},
-            energy=md.su2_energy(phi),
-            residuals={
-                "commutation_residuals": [c1, c2],
-                "modulus_defect": phi.modulus_defect(),
-                "max_abs_pairing": max(pairings),
-                "energy_shift_under_ad": abs(md.su2_energy(phi2) - md.su2_energy(phi)),
-            },
-            tolerances=tolerance_dict(tol),
-            convergence=rows,
-        )
-        return report, EXIT_OK
-    raise UsageError(f"unknown model {model!r}")
+    spec = _matrix_models().get(model)
+    if spec is None:
+        raise UsageError(f"unknown model {model!r}")
+    build, solve, pairing, energy, first, residuals = spec
+    try:
+        phi = build(theta, *matrix)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    pairs = _constrained_pairs(solve, phi, first(phi), theta, config.seed, 10)
+    pairings = [abs(pairing(pair, phi)) for pair in pairs]
+    report = ModelReport(
+        model=model, theta=theta,
+        inputs={**_config_dict(config), "matrix": list(matrix)},
+        energy=energy(phi),
+        residuals=residuals(phi, max(pairings)),
+        tolerances=tolerance_dict(tol),
+        convergence=[{"pair": i, "abs_pairing": v} for i, v in enumerate(pairings)],
+    )
+    return report, EXIT_OK
 
 
 class UsageError(ValueError):
@@ -407,9 +399,6 @@ def main(argv: list[str] | None = None) -> int:
             report, code = cmd_models(config, args.model, matrix, mn)
         else:  # pragma: no cover
             raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
     except ValueError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

@@ -2,12 +2,15 @@
 theta and -1/theta, with both operator-valued inner products and the Gaussian
 projection pipeline.
 
-Action conventions (fixed once; all other formulas follow):
+Action conventions (fixed once; all other formulas follow).  A monomial
+U^m V^n of either algebra translates by s and modulates at frequency f:
 
-    left  algebra  (parameter theta):  (U xi)(t)  = xi(t + theta),
-                                       (V xi)(t)  = exp(2 pi i t) xi(t)
-    right algebra  (parameter -1/theta): (xi U1)(t) = xi(t + 1),
-                                         (xi V1)(t) = exp(2 pi i t / theta) xi(t)
+    side   algebra     s          f           modulates
+    left   theta       m theta    n           the translated argument
+    right  -1/theta    m          n / theta   in place
+
+    (U^m V^n xi)(t)    = exp(2 pi i n (t + m theta)) xi(t + m theta)
+    (xi U1^m V1^n)(t)  = exp(2 pi i n t / theta) xi(t + m)
 
 The inner products are calibrated by c_A = theta, c_B = 1: the unique ratio
 making the associativity bridge  <xi,eta>_A . zeta = xi . <eta,zeta>_B  and the
@@ -139,12 +142,8 @@ def _shift_values(vals: np.ndarray, shift_idx: float) -> np.ndarray:
 
 
 def _monomial_act_gaussian(g: Gaussian, s: float, freq: float, c: complex,
-                           modulate_shifted: bool = True) -> Gaussian:
-    """c * exp(2 pi i freq x) g(t + s) as a Gaussian, with x = t + s or x = t.
-
-    The left action modulates the already-translated argument (x = t + s);
-    the right action modulates in place (x = t).
-    """
+                           modulate_shifted: bool) -> Gaussian:
+    """c * exp(2 pi i freq x) g(t + s) as a Gaussian, with x = t + s or x = t."""
     w = g.theta
     C = c * g.C * np.exp(-np.pi * w * s * s - 2j * g.lam * s)
     if modulate_shifted:
@@ -153,62 +152,50 @@ def _monomial_act_gaussian(g: Gaussian, s: float, freq: float, c: complex,
     return Gaussian(complex(C), w, complex(lam))
 
 
-def act_left(a: TorusElement, xi: SchwartzVector,
-             L: float = GRID_L, points: int = GRID_POINTS) -> SchwartzVector:
-    """Left action of the theta-algebra; U translates by theta, V modulates.
+def _act(a: TorusElement, xi: SchwartzVector, right: bool,
+         L: float, points: int) -> SchwartzVector:
+    """a acting on xi from the left (right=False) or the right, per the side table.
 
     A single monomial acting on a Gaussian stays in closed form; any other
     combination is realized on the grid.
     """
-    if a.theta != xi.theta:
-        raise CompositionError(f"theta mismatch: {a.theta!r} vs {xi.theta!r}")
     theta = xi.theta
-    if isinstance(xi.kind, Gaussian) and len(a.coeffs) == 1:
-        ((m, n), c), = a.coeffs.items()
-        return SchwartzVector(theta, _monomial_act_gaussian(xi.kind, m * theta, n, c))
-    if isinstance(xi.kind, Sampled):
-        L, points = xi.kind.L, len(xi.kind.values)
+    want = dual_theta(theta) if right else theta
+    if a.theta != want:
+        raise CompositionError(f"{'dual ' if right else ''}theta mismatch: "
+                               f"{a.theta!r} vs {want!r}")
+    # per monomial (m, n): translation s and modulation frequency f
+    terms = [(float(m), n / theta, c) if right else (m * theta, n, c)
+             for (m, n), c in sorted(a.coeffs.items())]
+    k = xi.kind
+    if isinstance(k, Gaussian) and len(terms) == 1:
+        (s, f, c), = terms
+        return SchwartzVector(theta, _monomial_act_gaussian(k, s, f, c, not right))
+    if isinstance(k, Sampled):
+        L, points = k.L, len(k.values)
     t = np.linspace(-L, L, points)
     h = 2.0 * L / (points - 1)
     out = np.zeros(points, dtype=complex)
-    if isinstance(xi.kind, Gaussian):
-        for (m, n), c in sorted(a.coeffs.items()):
-            g = _monomial_act_gaussian(xi.kind, m * theta, n, c)
-            out += g.C * np.exp(-np.pi * g.theta * t * t - 2j * g.lam * t)
-    else:
-        vals = xi.kind.values
-        for (m, n), c in sorted(a.coeffs.items()):
-            shifted = _shift_values(vals, m * theta / h)
-            out += c * np.exp(2j * np.pi * n * (t + m * theta)) * shifted
+    for s, f, c in terms:
+        if isinstance(k, Gaussian):
+            g = _monomial_act_gaussian(k, s, f, c, not right)
+            out += evaluate(SchwartzVector(theta, g), t)
+        else:
+            x = t if right else t + s
+            out += c * np.exp(2j * np.pi * f * x) * _shift_values(k.values, s / h)
     return SchwartzVector(theta, Sampled(L, out))
+
+
+def act_left(a: TorusElement, xi: SchwartzVector,
+             L: float = GRID_L, points: int = GRID_POINTS) -> SchwartzVector:
+    """Left action of the theta-algebra; U translates by theta, V modulates."""
+    return _act(a, xi, False, L, points)
 
 
 def act_right(xi: SchwartzVector, b: TorusElement,
               L: float = GRID_L, points: int = GRID_POINTS) -> SchwartzVector:
     """Right action of the dual algebra; U1 translates by 1, V1 modulates at 1/theta."""
-    if b.theta != dual_theta(xi.theta):
-        raise CompositionError(f"dual theta mismatch: {b.theta!r} vs {dual_theta(xi.theta)!r}")
-    theta = xi.theta
-    if isinstance(xi.kind, Gaussian) and len(b.coeffs) == 1:
-        ((k, l), c), = b.coeffs.items()
-        return SchwartzVector(theta, _monomial_act_gaussian(
-            xi.kind, float(k), l / theta, c, modulate_shifted=False))
-    if isinstance(xi.kind, Sampled):
-        L, points = xi.kind.L, len(xi.kind.values)
-    t = np.linspace(-L, L, points)
-    h = 2.0 * L / (points - 1)
-    out = np.zeros(points, dtype=complex)
-    if isinstance(xi.kind, Gaussian):
-        for (k, l), c in sorted(b.coeffs.items()):
-            g = _monomial_act_gaussian(xi.kind, float(k), l / theta, c,
-                                       modulate_shifted=False)
-            out += g.C * np.exp(-np.pi * g.theta * t * t - 2j * g.lam * t)
-    else:
-        vals = xi.kind.values
-        for (k, l), c in sorted(b.coeffs.items()):
-            shifted = _shift_values(vals, k / h)
-            out += c * np.exp(2j * np.pi * l * t / theta) * shifted
-    return SchwartzVector(theta, Sampled(L, out))
+    return _act(b, xi, True, L, points)
 
 
 # --------------------------------------------------------------- inner products
@@ -268,27 +255,29 @@ def _ring_l1(mat: np.ndarray) -> float:
 
 def _to_element(theta: float, mat: np.ndarray, ms: np.ndarray, ns: np.ndarray,
                 drop: float, tail: float) -> TorusElement:
-    peak = float(np.abs(mat).max()) if mat.size else 0.0
-    cut = drop * peak
-    coeffs = {}
-    for i, m in enumerate(ms):
-        for j, n in enumerate(ns):
-            c = mat[i, j]
-            if abs(c) > cut:
-                coeffs[(int(m), int(n))] = complex(c)
+    """Entries above drop * peak, in row-major order; a NaN peak keeps none."""
+    mag = np.abs(mat)
+    rows, cols = np.nonzero(mag > drop * mag.max())
+    coeffs = {(m, n): c for m, n, c in zip(ms[rows].tolist(), ns[cols].tolist(),
+                                           mat[rows, cols].tolist())}
     return TorusElement(theta, coeffs, tail_l1=tail)
 
 
-def _inner_product(first: SchwartzVector, second: SchwartzVector, theta_out: float,
-                   shift_scale: float, freq_scale: float, c_norm: float,
-                   extra_phase, tol: Tolerance, box: int | None) -> TorusElement:
+def _inner_product(first: SchwartzVector, second: SchwartzVector, right: bool,
+                   tol: Tolerance, box: int | None) -> TorusElement:
     """Shared assembly for both inner products over a rectangular index box.
 
-    Coefficient (m, n) is c_norm * extra_phase(m, n) * I(shift_scale * m,
-    freq_scale * n).  With box=None the box is grown adaptively until the
-    boundary ring falls below truncation_eps relative to the peak; the final
-    ring mass is recorded on the result as tail_l1.
+    Coefficient (m, n) integrates first(t) conj(second(t + s)) exp(-2 pi i f t)
+    with (s, f) the side table's translation and frequency of U^m V^n; the
+    left side carries the extra factor theta exp(-2 pi i theta m n).  With
+    box=None the box is grown adaptively until the boundary ring falls below
+    truncation_eps relative to the peak; the final ring mass is recorded on
+    the result as tail_l1.
     """
+    if first.theta != second.theta:
+        raise CompositionError("theta mismatch between vectors")
+    theta = first.theta
+    freq_scale = -2.0 * np.pi / theta if right else -2.0 * np.pi
     if box is not None:
         mB = nB = box
     else:
@@ -297,9 +286,10 @@ def _inner_product(first: SchwartzVector, second: SchwartzVector, theta_out: flo
     while True:
         ms = np.arange(-mB, mB + 1)
         ns = np.arange(-nB, nB + 1)
-        mat = _overlap_matrix(first, second, shift_scale * ms.astype(float),
-                              freq_scale * ns.astype(float))
-        mat = c_norm * extra_phase(ms[:, None], ns[None, :]) * mat
+        shifts = ms.astype(float) if right else theta * ms.astype(float)
+        mat = _overlap_matrix(first, second, shifts, freq_scale * ns.astype(float))
+        if not right:
+            mat = theta * np.exp(-2j * np.pi * theta * (ms[:, None] * ns[None, :])) * mat
         if box is not None:
             break
         peak = float(np.abs(mat).max())
@@ -315,7 +305,8 @@ def _inner_product(first: SchwartzVector, second: SchwartzVector, theta_out: flo
             grown = True
         if not grown:
             break
-    return _to_element(theta_out, mat, ms, ns, drop=1e-18, tail=_ring_l1(mat))
+    return _to_element(dual_theta(theta) if right else theta, mat, ms, ns,
+                       drop=1e-18, tail=_ring_l1(mat))
 
 
 def inner_A(xi: SchwartzVector, eta: SchwartzVector,
@@ -326,12 +317,7 @@ def inner_A(xi: SchwartzVector, eta: SchwartzVector,
     left-linear in xi, Hermitian against swapping.  Tail mass outside the
     returned box is reported through the element's tail_l1 field.
     """
-    if xi.theta != eta.theta:
-        raise CompositionError("theta mismatch between vectors")
-    theta = xi.theta
-    phase = lambda m, n: np.exp(-2j * np.pi * theta * (m * n))
-    return _inner_product(xi, eta, theta, shift_scale=theta, freq_scale=-2.0 * np.pi,
-                          c_norm=theta, extra_phase=phase, tol=tol, box=box)
+    return _inner_product(xi, eta, False, tol, box)
 
 
 def inner_B(xi: SchwartzVector, eta: SchwartzVector,
@@ -341,13 +327,7 @@ def inner_B(xi: SchwartzVector, eta: SchwartzVector,
     Coefficient at (m, n) is integral conj(xi(t + m)) eta(t) exp(-2 pi i n t / theta) dt,
     an element of the algebra at -1/theta; satisfies <xi, eta . b>_B = <xi, eta>_B . b.
     """
-    if xi.theta != eta.theta:
-        raise CompositionError("theta mismatch between vectors")
-    theta = xi.theta
-    no_phase = lambda m, n: np.ones_like(m * n, dtype=float)
-    return _inner_product(eta, xi, dual_theta(theta), shift_scale=1.0,
-                          freq_scale=-2.0 * np.pi / theta, c_norm=1.0,
-                          extra_phase=no_phase, tol=tol, box=box)
+    return _inner_product(eta, xi, True, tol, box)
 
 
 # ------------------------------------------------------------------- inversion

@@ -29,6 +29,7 @@ from .algebra import (
     monomial,
     mul,
     one,
+    prune,
     scale,
     sub,
     trace,
@@ -402,8 +403,6 @@ def energy_descent(x0: TorusElement, steps: int, rate: float,
     which preserves unitarity structurally.  Stops early (reported, not
     fatal) after stall_limit consecutive non-decreasing energies.
     """
-    from .algebra import prune
-
     x = x0
     energies = [chiral_energy(x)]
     stall = 0

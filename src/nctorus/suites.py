@@ -2,7 +2,8 @@
 against its tolerance and reports pass/fail.  Deterministic for a fixed seed.
 
 The clock-and-shift matrices live here purely as a verification oracle for
-the rational-parameter cross-check; they are not part of the public algebra.
+the rational-parameter cross-check (the test oracles share this copy); they
+are not part of the public algebra.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from .algebra import (
     monomial,
     mul,
     prune,
+    random_element,
     random_selfadjoint,
     scale,
     sub,
     trace,
-    zero,
 )
 from . import heisenberg as hb
 from . import models as md
@@ -57,20 +58,11 @@ def _row(suite: str, name: str, defect: float, tolerance: float) -> CheckRow:
     return CheckRow(suite, name, float(defect), float(tolerance), bool(defect <= tolerance))
 
 
-def _random_element(theta, box, seed, terms=6):
-    rng = np.random.default_rng(seed)
-    out = zero(theta)
-    for _ in range(terms):
-        m, n = rng.integers(-box, box + 1, size=2)
-        c = complex(rng.standard_normal(), rng.standard_normal())
-        out = add(out, monomial(theta, int(m), int(n), c))
-    return out
-
-
 # ------------------------------------------------------------- algebra oracle
 
 
-def _clock_shift_rep(a: TorusElement, q: int) -> np.ndarray:
+def clock_shift_rep(a: TorusElement, q: int) -> np.ndarray:
+    """Represent a (theta = 1/q) as sum a_{m,n} clock^m shift^n, q x q."""
     omega = np.exp(2j * np.pi / q)
     rep = np.zeros((q, q), dtype=complex)
     for (m, n), c in a.coeffs.items():
@@ -85,9 +77,9 @@ def algebra_suite(theta: float, tol: Tolerance, seed: int) -> list[CheckRow]:
     rows = []
     worst = {"assoc": 0.0, "invol": 0.0, "tracial": 0.0, "leibniz": 0.0, "dtrace": 0.0}
     for k in range(6):
-        a = _random_element(theta, 4, seed + 3 * k)
-        b = _random_element(theta, 4, seed + 3 * k + 1)
-        c = _random_element(theta, 4, seed + 3 * k + 2)
+        a = random_element(theta, 4, seed + 3 * k)
+        b = random_element(theta, 4, seed + 3 * k + 1)
+        c = random_element(theta, 4, seed + 3 * k + 2)
         scale_ = max(1.0, l1_norm(a) * l1_norm(b) * l1_norm(c))
         worst["assoc"] = max(worst["assoc"],
                              l1_norm(sub(mul(mul(a, b), c), mul(a, mul(b, c)))) / scale_)
@@ -111,13 +103,13 @@ def algebra_suite(theta: float, tol: Tolerance, seed: int) -> list[CheckRow]:
     mul_defect = 0.0
     trace_defect = 0.0
     for _ in range(10):
-        a = _random_element(th_q, q - 1, int(rng.integers(1 << 30)), terms=5)
-        b = _random_element(th_q, q - 1, int(rng.integers(1 << 30)), terms=5)
-        lhs = _clock_shift_rep(mul(a, b), q)
-        rhs = _clock_shift_rep(a, q) @ _clock_shift_rep(b, q)
+        a = random_element(th_q, q - 1, int(rng.integers(1 << 30)), terms=5)
+        b = random_element(th_q, q - 1, int(rng.integers(1 << 30)), terms=5)
+        lhs = clock_shift_rep(mul(a, b), q)
+        rhs = clock_shift_rep(a, q) @ clock_shift_rep(b, q)
         mul_defect = max(mul_defect, float(np.abs(lhs - rhs).max()))
         trace_defect = max(trace_defect,
-                           abs(trace(a) - complex(np.trace(_clock_shift_rep(a, q))) / q))
+                           abs(trace(a) - complex(np.trace(clock_shift_rep(a, q))) / q))
     rows.append(_row("algebra", "clock_shift_product_oracle", mul_defect, tol.algebraic_eps))
     rows.append(_row("algebra", "clock_shift_trace_oracle", trace_defect, tol.algebraic_eps))
     return rows
@@ -234,7 +226,7 @@ def symmetry_suite(theta: float, tol: Tolerance, seed: int) -> list[CheckRow]:
     for _ in range(6):
         m, n = (int(v) for v in rng.integers(-3, 4, size=2))
         mp, np_ = (int(v) for v in rng.integers(-3, 4, size=2))
-        x = _random_element(theta, 3, int(rng.integers(1 << 30)))
+        x = random_element(theta, 3, int(rng.integers(1 << 30)))
         oracle = max(oracle, l1_norm(sub(sym.ad((m, n), x), sym.ad_via_products((m, n), x))))
         group = max(group, l1_norm(sub(sym.ad((m, n), sym.ad((mp, np_), x)),
                                        sym.ad((m + mp, n + np_), x))))

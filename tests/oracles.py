@@ -5,7 +5,8 @@ Two deliberately different models of the same relations:
 * a symbolic word rewriter that normal-orders strings in the generators by
   repeatedly applying the single commutation rule, tracking the phase; and
 * the q x q clock-and-shift matrix pair, which satisfies the same relation
-  at theta = 1/q and carries the normalized matrix trace.
+  at theta = 1/q and carries the normalized matrix trace; its representation
+  matrix_rep is the one the verify suite uses.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from nctorus.algebra import TorusElement
+from nctorus.suites import clock_shift_rep as matrix_rep  # noqa: F401
 
 Symbol = tuple[str, int]  # ("U" | "V", +1 | -1)
 
@@ -70,19 +71,6 @@ def clock_shift(q: int) -> tuple[np.ndarray, np.ndarray]:
     for j in range(q):
         shift[(j + 1) % q, j] = 1.0
     return clock, shift
-
-
-def matrix_rep(a: TorusElement, q: int) -> np.ndarray:
-    """Represent a (theta = 1/q) as sum a_{m,n} clock^m shift^n."""
-    omega = np.exp(2j * np.pi / q)
-    rep = np.zeros((q, q), dtype=complex)
-    js = np.arange(q)
-    for (m, n), c in a.coeffs.items():
-        mat = np.zeros((q, q), dtype=complex)
-        for k in range(q):
-            mat[(k + n) % q, k] = omega ** (((k + n) % q) * m)
-        rep += c * mat
-    return rep
 
 
 def matrix_trace(mat: np.ndarray) -> complex:

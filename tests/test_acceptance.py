@@ -19,7 +19,6 @@ import pytest
 from nctorus.algebra import (
     Tolerance,
     TorusElement,
-    add,
     adjoint,
     exp_i,
     gns_norm,
@@ -27,6 +26,7 @@ from nctorus.algebra import (
     monomial,
     mul,
     prune,
+    random_element,
     random_selfadjoint,
     scale,
     sub,
@@ -54,16 +54,6 @@ def instanton_run():
     run = hb.build_instanton(THETA, 0.0, TOL, box=32)
     elapsed = time.monotonic() - t0
     return run, elapsed
-
-
-def random_element(theta, box, seed, terms=6):
-    rng = np.random.default_rng(seed)
-    out = zero(theta)
-    for _ in range(terms):
-        m, n = rng.integers(-box, box + 1, size=2)
-        c = complex(rng.standard_normal(), rng.standard_normal())
-        out = add(out, monomial(theta, int(m), int(n), c))
-    return out
 
 
 # --------------------------------------------------------------- criterion 1

@@ -9,6 +9,7 @@ import pytest
 from nctorus.algebra import (
     CompositionError,
     Tolerance,
+    TorusElement,
     add,
     adjoint,
     delta,
@@ -22,6 +23,7 @@ from nctorus.algebra import (
     norms,
     one,
     prune,
+    random_element,
     random_selfadjoint,
     sub,
     to_json,
@@ -41,16 +43,6 @@ THETA = 0.2
 GOLDEN = (math.sqrt(5) - 1) / 2
 
 
-def random_element(theta, box, seed, terms=6):
-    rng = np.random.default_rng(seed)
-    out = zero(theta)
-    for _ in range(terms):
-        m, n = rng.integers(-box, box + 1, size=2)
-        c = complex(rng.standard_normal(), rng.standard_normal())
-        out = add(out, monomial(theta, int(m), int(n), c))
-    return out
-
-
 # ---------------------------------------------------------------- constructors
 
 
@@ -65,6 +57,13 @@ def test_monomial_identity_and_generators():
 
 def test_monomial_zero_coefficient_gives_empty_support():
     assert monomial(THETA, 3, 1, 0).coeffs == {}
+
+
+def test_constructor_drops_zeros_without_editing_callers_dict():
+    d = {(0, 0): 1.5, (1, 2): 0.0}
+    e = TorusElement(THETA, d)
+    assert d == {(0, 0): 1.5, (1, 2): 0.0}
+    assert e.support() == [(0, 0)]
 
 
 def test_theta_mismatch_raises():

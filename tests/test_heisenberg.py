@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from nctorus.algebra import (
+    CompositionError,
     Tolerance,
+    add,
     adjoint,
     gns_norm,
     l1_norm,
@@ -37,6 +40,7 @@ from nctorus.heisenberg import (
     vector_from_json,
     vector_to_json,
 )
+from nctorus.heisenberg import _to_element
 
 TOL = Tolerance()
 THETAS = [0.15, 0.2, 0.3]
@@ -128,7 +132,85 @@ def test_multi_term_action_lands_on_grid():
     assert isinstance(out.kind, Sampled)
 
 
+# ------------------------------------------------------- both sides across theta
+
+ACROSS = settings(max_examples=25, deadline=None, database=None)
+THETA_RANGE = st.floats(0.05, 0.95)
+INDEX = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+STEP_GRID = dict(L=10.0, points=401)  # step 0.05, so a shift by 1 is exact
+
+
+def side(theta, right):
+    """(parameter of the acting algebra, act(a, xi)) for one side."""
+    if right:
+        return dual_theta(theta), lambda a, xi: act_right(xi, a, **STEP_GRID)
+    return theta, lambda a, xi: act_left(a, xi, **STEP_GRID)
+
+
+@seed(3)
+@ACROSS
+@given(theta=THETA_RANGE, right=st.booleans(), i=INDEX, j=INDEX)
+def test_action_linear_closed_form_against_grid(theta, right, i, j):
+    assume(i != j)
+    th, act = side(theta, right)
+    xi = gaussian_vector(theta, lam=0.2 - 0.1j, width=1.0)
+    a, b = monomial(th, *i, 0.8 - 0.3j), monomial(th, *j, -0.5 + 1.1j)
+    both = act(add(a, b), xi)
+    assert isinstance(both.kind, Sampled)
+    parts = [act(x, xi) for x in (a, b)]
+    assert all(isinstance(p.kind, Gaussian) for p in parts)
+    summed = sum(as_sampled(p, **STEP_GRID).kind.values for p in parts)
+    assert np.abs(both.kind.values - summed).max() < 1e-12
+
+
+@seed(5)
+@ACROSS
+@given(theta=THETA_RANGE, right=st.booleans(), m=st.integers(-2, 2), n=st.integers(-2, 2))
+def test_defining_relation_on_sampled_vectors(theta, right, m, n):
+    # U^m V^n = exp(2 pi i th m n) V^n U^m in the algebra at th; a right
+    # module applies the left factor first
+    th, act = side(theta, right)
+    xi = as_sampled(gaussian_vector(theta, lam=0.3, width=1.3), **STEP_GRID)
+    u, v = monomial(th, m, 0), monomial(th, 0, n)
+    lhs = act(monomial(th, m, n), xi).kind.values
+    vu = act(u, act(v, xi)) if right else act(v, act(u, xi))
+    rhs = np.exp(2j * np.pi * th * m * n) * vu.kind.values
+    assert np.abs(lhs - rhs).max() < 1e-10
+
+
+@seed(7)
+@ACROSS
+@given(theta=THETA_RANGE, right=st.booleans())
+def test_action_rejects_the_other_sides_theta(theta, right):
+    _, act = side(theta, right)
+    wrong = theta if right else dual_theta(theta)
+    with pytest.raises(CompositionError):
+        act(monomial(wrong, 1, 0), gaussian_vector(theta))
+
+
 # ------------------------------------------------------------- inner products
+
+
+def test_to_element_matches_loop_reference():
+    # the loop the vectorised conversion replaced: same entries, same order
+    def reference(mat, ms, ns, drop):
+        cut = drop * float(np.abs(mat).max())
+        return {(int(m), int(n)): complex(mat[i, j])
+                for i, m in enumerate(ms) for j, n in enumerate(ns)
+                if abs(mat[i, j]) > cut}
+
+    rng = np.random.default_rng(11)
+    ms, ns = np.arange(-3, 4), np.arange(-2, 3)
+    mat = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    mat[rng.random((7, 5)) < 0.4] *= 1e-20
+    with_nan = mat.copy()
+    with_nan[2, 3] = np.nan
+    for m in (mat, with_nan):
+        got = _to_element(0.2, m, ms, ns, drop=1e-18, tail=0.5)
+        assert list(got.coeffs.items()) == list(reference(m, ms, ns, 1e-18).items())
+        assert got.tail_l1 == 0.5
+    assert 0 < len(_to_element(0.2, mat, ms, ns, drop=1e-18, tail=0.0).coeffs) < mat.size
+    assert _to_element(0.2, with_nan, ms, ns, drop=1e-18, tail=0.0).coeffs == {}
 
 
 def test_inner_a_of_zero_vector():

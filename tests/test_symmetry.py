@@ -16,11 +16,11 @@ from nctorus.algebra import (
     mul,
     one,
     prune,
+    random_element,
     random_selfadjoint,
     scale,
     sub,
     trace,
-    zero,
 )
 from nctorus.heisenberg import instanton
 from nctorus.models import (
@@ -51,16 +51,6 @@ from nctorus.symmetry import (
 TOL = Tolerance()
 THETA = 0.2
 GOLDEN = (math.sqrt(5) - 1) / 2
-
-
-def random_element(theta, box, seed, terms=6):
-    rng = np.random.default_rng(seed)
-    out = zero(theta)
-    for _ in range(terms):
-        m, n = rng.integers(-box, box + 1, size=2)
-        c = complex(rng.standard_normal(), rng.standard_normal())
-        out = add(out, monomial(theta, int(m), int(n), c))
-    return out
 
 
 # ------------------------------------------------------------------ the action
