@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
 from .algebra import (
     Tolerance,
-    TorusElement,
     gns_norm,
     monomial,
     mul,
@@ -71,11 +71,10 @@ class RunConfig:
         return Tolerance(self.alg_eps, self.trunc_eps, self.quad_eps)
 
 
-_CONFIG_FIELDS = {
-    "theta": float, "lambda_re": float, "lambda_im": float, "trunc_box": int,
-    "grid_l": float, "grid_points": int, "alg_eps": float, "trunc_eps": float,
-    "quad_eps": float, "seed": int, "output_format": str, "output_path": str,
-}
+# RunConfig field name -> type, in declaration order.
+_CONFIG_FIELDS = {f.name: typing.get_type_hints(RunConfig)[f.name] for f in fields(RunConfig)}
+# sweep --param -> the RunConfig field it sets.
+_SWEEP_FIELDS = {"theta": "theta", "lambda": "lambda_re", "trunc": "trunc_box"}
 
 
 def load_config_file(path: str) -> dict:
@@ -111,13 +110,13 @@ def _config_dict(config: RunConfig) -> dict:
 # ------------------------------------------------------------------- commands
 
 
-def _instanton_measurements(p):
-    sa, idem = md.projection_defect(p)
+def _projection_row(p) -> dict:
+    """Truncation tail, idempotency defect, trace and Chern number of p."""
     return {
-        "selfadjointness_defect": sa,
-        "idempotency_defect": idem,
-        "el_residual": md.ising_el_residual(p),
-        "self_duality_residual": md.self_duality_residual(p),
+        "tail_l1": p.tail_l1,
+        "idempotency_defect": gns_norm(sub(mul(p, p), p)),
+        "trace": trace(p).real,
+        "chern": md.chern_number(p),
     }
 
 
@@ -135,35 +134,30 @@ def cmd_instanton(config: RunConfig) -> tuple[ModelReport, int]:
         return report, EXIT_NUMERICAL
 
     p = run.projection
-    residuals = _instanton_measurements(p)
-    residuals["inversion_residual"] = run.inversion_residual
+    # the last box is trunc_box, where truncate(p, box) is p itself
+    convergence = [{"box": box, **_projection_row(truncate(p, box))}
+                   for box in sorted({8, 16, 24, 32, config.trunc_box})
+                   if box <= config.trunc_box]
+    full = convergence[-1]
     W = md.harmonic_from_projection(p)
-    convergence = []
-    for box in sorted({8, 16, 24, 32, config.trunc_box}):
-        if box > config.trunc_box:
-            continue
-        q = truncate(p, box)
-        convergence.append({
-            "box": box,
-            "tail_l1": q.tail_l1,
-            "idempotency_defect": gns_norm(sub(mul(q, q), q)),
-            "trace": trace(q).real,
-            "chern": md.chern_number(q),
-        })
     report = ModelReport(
         model="instanton",
         theta=config.theta,
         inputs=_config_dict(config),
         energy=md.ising_energy(p),
         residuals={
-            **residuals,
-            "trace": trace(p).real,
+            "selfadjointness_defect": md.selfadjoint_defect(p),
+            "idempotency_defect": full["idempotency_defect"],
+            "el_residual": md.ising_el_residual(p),
+            "self_duality_residual": md.self_duality_residual(p),
+            "inversion_residual": run.inversion_residual,
+            "trace": full["trace"],
             "chiral_energy_w": md.chiral_energy(W),
             "chiral_residual_w": md.chiral_residual(W),
             "inversion_iterations": run.inversion_iterations,
             "tail_l1": run.tail_l1,
         },
-        chern=md.chern_number(p),
+        chern=full["chern"],
         tolerances=tolerance_dict(tol),
         convergence=convergence,
     )
@@ -189,28 +183,17 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float]) -> tuple[Model
     tol = config.tolerance()
     rows = []
     worst = EXIT_OK
+    field = _SWEEP_FIELDS[param]
     for value in values:
-        cfg = config
-        if param == "theta":
-            cfg = replace(config, theta=float(value))
-        elif param == "lambda":
-            cfg = replace(config, lambda_re=float(value))
-        elif param == "trunc":
-            cfg = replace(config, trunc_box=int(value))
+        cfg = replace(config, **{field: _CONFIG_FIELDS[field](value)})
         row = {param: value}
         try:
             cfg.validate()
             run = hb.build_instanton(cfg.theta, cfg.lam, tol, box=cfg.trunc_box,
                                      L=cfg.grid_l, points=cfg.grid_points)
             p = run.projection
-            row.update({
-                "tail_l1": run.tail_l1,
-                "idempotency_defect": md.projection_defect(p)[1],
-                "trace": trace(p).real,
-                "chern": md.chern_number(p),
-                "energy": md.ising_energy(p),
-                "error": "",
-            })
+            row.update(_projection_row(p))
+            row.update({"energy": md.ising_energy(p), "error": ""})
         except (hb.NotInvertibleError, ValueError) as exc:
             row.update({"error": str(exc)})
             worst = EXIT_NUMERICAL
@@ -226,23 +209,13 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float]) -> tuple[Model
 
 
 def _constrained_pairs(solve, phi, first, theta, seed, count):
-    """Scalar pair, zero pair, and solver-generated pairs off the null set
-    of first's leading index."""
+    """Zero pair, scalar pair, and count - 2 solver-generated pairs whose A
+    lies off the null set of the monomial first."""
     pairs = [md.ConstraintPair(zero(theta), zero(theta)),
              md.ConstraintPair(monomial(theta, 0, 0, 0.75), monomial(theta, 0, 0, 0.75))]
-    p, q = min(first.coeffs)
-    k = 0
-    while len(pairs) < count:
-        h = random_selfadjoint(theta, 3, seed + 13 * k)
-        A = TorusElement(theta, {idx: c for idx, c in h.coeffs.items()
-                                 if idx[1] * p != q * idx[0]})
-        try:
-            pairs.append(md.ConstraintPair(A, solve(A, phi)))
-        except md.ConstraintError:
-            pass
-        k += 1
-        if k > 4 * count:
-            break
+    for k in range(count - 2):
+        A = md.off_null_set(random_selfadjoint(theta, 3, seed + 13 * k), first)
+        pairs.append(md.ConstraintPair(A, solve(A, phi)))
     return pairs
 
 
@@ -262,7 +235,7 @@ def _su2_residuals(phi, max_pairing):
 
 def _matrix_models() -> dict:
     """Per matrix model: builder, constraint solver, pairing, energy, the
-    generator whose leading index fixes the null set, and the residuals.
+    monomial image whose index fixes the null set, and the residuals.
     Built per call, so functions rebound on md or sym take effect."""
     return {
         "endo": (md.endo_from_matrix, md.solve_constraint_for_B, md.endo_el_pairing,
@@ -387,8 +360,6 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "verify":
             report, code = cmd_verify(config, args.suite)
         elif args.command == "sweep":
-            if not args.values.strip():
-                raise UsageError("--values must be nonempty")
             values = [float(v) for v in args.values.split(",") if v.strip()]
             if not values:
                 raise UsageError("--values must be nonempty")

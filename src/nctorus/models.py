@@ -44,9 +44,14 @@ def unitary_defect(x: TorusElement) -> float:
     return l1_norm(sub(mul(adjoint(x), x), one(x.theta)))
 
 
+def selfadjoint_defect(x: TorusElement) -> float:
+    """gns norm of x - x*; needs no product."""
+    return gns_norm(sub(x, adjoint(x)))
+
+
 def projection_defect(p: TorusElement) -> tuple[float, float]:
     """(selfadjointness defect, idempotency defect) in gns norm."""
-    return gns_norm(sub(p, adjoint(p))), gns_norm(sub(mul(p, p), p))
+    return selfadjoint_defect(p), gns_norm(sub(mul(p, p), p))
 
 
 # ------------------------------------------------------------ two-point model
@@ -58,10 +63,15 @@ def ising_energy(p: TorusElement) -> float:
     return (trace(mul(d1, d1)) + trace(mul(d2, d2))).real
 
 
+def ising_commutator(p: TorusElement) -> TorusElement:
+    """p (Lap p) - (Lap p) p, the left side of the projection field equation."""
+    lp = laplacian(p)
+    return sub(mul(p, lp), mul(lp, p))
+
+
 def ising_el_residual(p: TorusElement) -> float:
     """gns norm of p (Lap p) - (Lap p) p, the projection field equation."""
-    lp = laplacian(p)
-    return gns_norm(sub(mul(p, lp), mul(lp, p)))
+    return gns_norm(ising_commutator(p))
 
 
 def chern_number(p: TorusElement) -> float:
@@ -91,7 +101,8 @@ def self_duality_residual(p: TorusElement) -> float:
     """Residual of the duality equation that forces equality in the
     energy-Chern bound for this module's orientation (Chern number -1):
     gns norm of (delta_1 - i delta_2)(p) p / 2."""
-    return duality_residuals(p)[0]
+    holo = scale(0.5, sub(delta(1, p), scale(1j, delta(2, p))))
+    return gns_norm(mul(holo, p))
 
 
 # --------------------------------------------------------------- chiral model
@@ -110,13 +121,18 @@ def chiral_energy(W: TorusElement) -> float:
     return total
 
 
-def chiral_residual(W: TorusElement) -> float:
-    """gns norm of W* (Lap W) + sum_j delta_j(W)* delta_j(W)."""
+def chiral_field_equation(W: TorusElement) -> TorusElement:
+    """W* (Lap W) + sum_j delta_j(W)* delta_j(W); zero on harmonic unitaries."""
     acc = mul(adjoint(W), laplacian(W))
     for j in (1, 2):
         dW = delta(j, W)
         acc = add(acc, mul(adjoint(dW), dW))
-    return gns_norm(acc)
+    return acc
+
+
+def chiral_residual(W: TorusElement) -> float:
+    """gns norm of W* (Lap W) + sum_j delta_j(W)* delta_j(W)."""
+    return gns_norm(chiral_field_equation(W))
 
 
 def harmonic_from_projection(p: TorusElement) -> TorusElement:
@@ -154,10 +170,6 @@ class ConstraintPair:
     A: TorusElement
     B: TorusElement
 
-    def selfadjoint_defects(self) -> tuple[float, float]:
-        return (l1_norm(sub(self.A, adjoint(self.A))),
-                l1_norm(sub(self.B, adjoint(self.B))))
-
 
 def endo_from_matrix(theta: float, p: int, q: int, r: int, s: int) -> EndoPair:
     """Monomial endomorphism U -> U^p V^q, V -> U^r V^s for ps - qr = 1."""
@@ -184,37 +196,71 @@ def _monomial_index(x: TorusElement) -> tuple[int, int, complex]:
     return m, n, c
 
 
-def solve_constraint_for_B(A: TorusElement, phi: EndoPair,
-                           null_tol: float = 1e-9) -> TorusElement:
-    """Solve B - phi(U)* B phi(U) = A - phi(V)* A phi(V) coefficient-wise.
+# Indices with |1 - eigenvalue| at most this form the null set of a solver.
+_NULL_TOL = 1e-9
 
-    For monomial phi(U) = U^p V^q the conjugation is diagonal with eigenvalue
-    exp(-2 pi i theta (n p - q m)) at index (m, n); B is set to zero on the
-    null set of the denominator (which, at rational theta, is larger than the
-    lattice n p = q m).  Inconsistent right-hand sides on the null set raise
-    ConstraintError with the offending indices.
+
+def _null_gap(theta: float, p: int, q: int, m: int, n: int) -> complex:
+    """1 - exp(-2 pi i theta (n p - q m)): one minus the eigenvalue of
+    conjugation by U^p V^q at index (m, n)."""
+    return 1.0 - cmath.exp(-2j * math.pi * theta * (n * p - q * m))
+
+
+def off_null_set(h: TorusElement, first: TorusElement) -> TorusElement:
+    """h restricted to the indices where |1 - exp(-2 pi i theta (n p - q m))|
+    exceeds _NULL_TOL, for the monomial first = U^p V^q.
+
+    This is the null set both constraint solvers set aside at their default
+    null_tol.  At theta = a/b in lowest terms it is every index where b
+    divides n p - q m, not only the lattice n p = q m.
     """
-    theta = A.theta
-    p, q, _ = _monomial_index(phi.phiU)
-    K = sub(A, mul(mul(adjoint(phi.phiV), A), phi.phiV))
+    p, q, _ = _monomial_index(first)
+    return TorusElement(h.theta, {(m, n): c for (m, n), c in h.coeffs.items()
+                                  if abs(_null_gap(h.theta, p, q, m, n)) > _NULL_TOL})
+
+
+def _diagonal_solve(rhs: TorusElement, first: TorusElement, entry,
+                    null_tol: float) -> TorusElement:
+    """B_{m,n} = numer / denom with (numer, denom) = entry(m, n, c, gap) for
+    each coefficient c of rhs, where gap = _null_gap at first's index.
+
+    B is zero on the null set |gap| <= null_tol; a numerator above
+    null_tol * max(1, |rhs|_1) there raises ConstraintError, as does a
+    non-self-adjoint result.
+    """
+    theta = rhs.theta
+    p, q, _ = _monomial_index(first)
     coeffs = {}
     bad = []
-    kscale = max(1.0, l1_norm(K))
-    for (m, n), c in sorted(K.coeffs.items()):
-        d = n * p - q * m
-        denom = 1.0 - cmath.exp(-2j * math.pi * theta * d)
-        if abs(denom) <= null_tol:
-            if abs(c) > null_tol * kscale:
+    rscale = max(1.0, l1_norm(rhs))
+    for (m, n), c in sorted(rhs.coeffs.items()):
+        gap = _null_gap(theta, p, q, m, n)
+        numer, denom = entry(m, n, c, gap)
+        if abs(gap) <= null_tol:
+            if abs(numer) > null_tol * rscale:
                 bad.append((m, n))
             continue
-        coeffs[(m, n)] = c / denom
+        coeffs[(m, n)] = numer / denom
     if bad:
-        raise ConstraintError(f"inconsistent constraint at null-lattice indices {bad}")
+        raise ConstraintError(f"inconsistent constraint at null indices {bad}")
     B = TorusElement(theta, coeffs)
     sa = l1_norm(sub(B, adjoint(B)))
     if sa > 1e-9 * max(1.0, l1_norm(B)):
         raise ConstraintError(f"solved B is not self-adjoint (defect {sa:.3e})")
     return B
+
+
+def solve_constraint_for_B(A: TorusElement, phi: EndoPair,
+                           null_tol: float = _NULL_TOL) -> TorusElement:
+    """Solve B - phi(U)* B phi(U) = A - phi(V)* A phi(V) coefficient-wise.
+
+    For monomial phi(U) = U^p V^q the conjugation is diagonal with eigenvalue
+    exp(-2 pi i theta (n p - q m)) at index (m, n), so B_{m,n} = K_{m,n} / gap
+    with K the right-hand side; B is zero on the null set (see off_null_set),
+    where K must vanish.
+    """
+    K = sub(A, mul(mul(adjoint(phi.phiV), A), phi.phiV))
+    return _diagonal_solve(K, phi.phiU, lambda m, n, c, gap: (c, gap), null_tol)
 
 
 def _current_divergence_pairing(X: TorusElement, img: TorusElement) -> complex:
@@ -299,7 +345,7 @@ def su2_constraint_residuals(pair: ConstraintPair, phi: CoerciveQuadruple) -> tu
 
 
 def solve_su2_constraint_for_B(A: TorusElement, phi: CoerciveQuadruple,
-                               null_tol: float = 1e-9) -> TorusElement:
+                               null_tol: float = _NULL_TOL) -> TorusElement:
     """Solve both constraint identities for B given self-adjoint A.
 
     With monomial u = U^p V^q, v = U^r V^s and x = exp(-2 pi i theta), both
@@ -307,30 +353,18 @@ def solve_su2_constraint_for_B(A: TorusElement, phi: CoerciveQuadruple,
 
         B_{m,n} = A_{m,n} x^{(q - s) m} (x^{n r} - x^{s m}) / (x^{n p} - x^{q m}),
 
-    zero on the null set of the denominator (consistency required there).
+    zero on the null set of u (see off_null_set), where the numerator must
+    vanish.
     """
-    theta = A.theta
     p, q, _ = _monomial_index(phi.u)
     r, s, _ = _monomial_index(phi.v)
-    x = cmath.exp(-2j * math.pi * theta)
-    coeffs = {}
-    bad = []
-    ascale = max(1.0, l1_norm(A))
-    for (m, n), c in sorted(A.coeffs.items()):
-        denom = x ** (n * p) - x ** (q * m)
+    x = cmath.exp(-2j * math.pi * A.theta)
+
+    def entry(m, n, c, gap):
         numer = x ** (n * r) - x ** (s * m)
-        if abs(denom) <= null_tol:
-            if abs(c * numer) > null_tol * ascale:
-                bad.append((m, n))
-            continue
-        coeffs[(m, n)] = c * x ** ((q - s) * m) * numer / denom
-    if bad:
-        raise ConstraintError(f"inconsistent constraint at null indices {bad}")
-    B = TorusElement(theta, coeffs)
-    sa = l1_norm(sub(B, adjoint(B)))
-    if sa > 1e-9 * max(1.0, l1_norm(B)):
-        raise ConstraintError(f"solved B is not self-adjoint (defect {sa:.3e})")
-    return B
+        return c * x ** ((q - s) * m) * numer, x ** (n * p) - x ** (q * m)
+
+    return _diagonal_solve(A, phi.u, entry, null_tol)
 
 
 def su2_el_pairing(pair: ConstraintPair, phi: CoerciveQuadruple,
@@ -359,9 +393,7 @@ def chiral_variation_pairing(W: TorusElement, h: TorusElement) -> float:
 
 
 def ising_variation_pairing(p: TorusElement, h: TorusElement) -> float:
-    lp = laplacian(p)
-    comm = sub(mul(p, lp), mul(lp, p))
-    return (-2j * trace(mul(h, comm))).real
+    return (-2j * trace(mul(h, ising_commutator(p)))).real
 
 
 def first_variation_check(model: str, x: TorusElement, h: TorusElement,

@@ -178,12 +178,7 @@ def models_suite(theta: float, tol: Tolerance, seed: int) -> list[CheckRow]:
     for k in range(3):
         h = random_selfadjoint(theta, 3, seed + 50 + k)
         W = md.harmonic_from_projection(h)
-        lhs = mul(adjoint(W), laplacian(W))
-        for j in (1, 2):
-            dW = delta(j, W)
-            lhs = add(lhs, mul(adjoint(dW), dW))
-        lp = laplacian(h)
-        lhs = sub(lhs, scale(2.0, sub(mul(h, lp), mul(lp, h))))
+        lhs = sub(md.chiral_field_equation(W), scale(2.0, md.ising_commutator(h)))
         rhs = scale(2.0, laplacian(sub(mul(h, h), h)))
         ident = max(ident, gns_norm(sub(lhs, rhs)) / max(1.0, gns_norm(rhs)))
     rows.append(_row("models", "residual_identity_w_equals_1_minus_2p", ident,
@@ -198,9 +193,7 @@ def models_suite(theta: float, tol: Tolerance, seed: int) -> list[CheckRow]:
     pair_defect = 0.0
     for mat in [(1, 0, 0, 1), (1, 1, 0, 1), (2, 1, 1, 1)]:
         phi = md.endo_from_matrix(golden, *mat)
-        h = random_selfadjoint(golden, 3, seed + hash(mat) % 97)
-        A = TorusElement(golden, {k: c for k, c in h.coeffs.items()
-                                  if k[1] * mat[0] != mat[1] * k[0]})
+        A = md.off_null_set(random_selfadjoint(golden, 3, seed + hash(mat) % 97), phi.phiU)
         B = md.solve_constraint_for_B(A, phi)
         pair_defect = max(pair_defect,
                           abs(md.endo_el_pairing(md.ConstraintPair(A, B), phi)))
@@ -209,9 +202,7 @@ def models_suite(theta: float, tol: Tolerance, seed: int) -> list[CheckRow]:
     su2_defect = 0.0
     for mat in [(1, 0, 2, 0), (1, 1, 1, 1)]:
         phi = md.su2_from_matrix(golden, *mat)
-        h = random_selfadjoint(golden, 2, seed + 7 + mat[2])
-        A = TorusElement(golden, {k: c for k, c in h.coeffs.items()
-                                  if k[1] * mat[0] != mat[1] * k[0]})
+        A = md.off_null_set(random_selfadjoint(golden, 2, seed + 7 + mat[2]), phi.u)
         B = md.solve_su2_constraint_for_B(A, phi)
         su2_defect = max(su2_defect,
                          abs(md.su2_el_pairing(md.ConstraintPair(A, B), phi)))

@@ -20,6 +20,11 @@ from nctorus.suites import clock_shift_rep as matrix_rep  # noqa: F401
 
 Symbol = tuple[str, int]  # ("U" | "V", +1 | -1)
 
+# Matrices (p, q, r, s) of the endomorphism and commuting-pair models that the
+# solver tests sweep.
+ENDO_MATS = [(1, 0, 0, 1), (1, 1, 0, 1), (2, 1, 1, 1), (1, -1, 0, 1), (3, 2, 1, 1)]
+SU2_MATS = [(1, 0, 2, 0), (1, 1, 1, 1), (2, 1, 4, 2), (0, 1, 0, 3), (1, 2, 2, 4)]
+
 
 def word_for_monomial(m: int, n: int) -> list[Symbol]:
     """U^m V^n as a left-to-right symbol string."""

@@ -36,7 +36,7 @@ from nctorus.algebra import (
 from nctorus import heisenberg as hb
 from nctorus import models as md
 from nctorus import symmetry as sym
-from oracles import matrix_rep, matrix_trace
+from oracles import ENDO_MATS, SU2_MATS, matrix_rep, matrix_trace
 
 TOL = Tolerance()
 THETA = 0.2
@@ -297,10 +297,6 @@ def test_criterion_6_module_axioms():
 
 
 # --------------------------------------------------------------- criterion 7
-
-
-ENDO_MATS = [(1, 0, 0, 1), (1, 1, 0, 1), (2, 1, 1, 1), (1, -1, 0, 1), (3, 2, 1, 1)]
-SU2_MATS = [(1, 0, 2, 0), (1, 1, 1, 1), (2, 1, 4, 2), (0, 1, 0, 3), (1, 2, 2, 4)]
 
 
 def _pairs_for(kind, phi, p, q, seed, count=10):

@@ -159,3 +159,14 @@ def test_models_endo_and_su2_pairings(capsys):
     assert code == EXIT_OK
     data = json.loads(out)
     assert data["residuals"]["max_abs_pairing"] < 1e-10
+
+
+@pytest.mark.parametrize("matrix", ["1,1,0,1", "2,1,1,1"])
+def test_models_endo_at_rational_theta_solves_every_pair(capsys, matrix):
+    # at theta = 0.2 the null set of phi(U) is more than the lattice n p = q m;
+    # every solver pair must still be built, not skipped
+    code, out = run_cli(capsys, "models", "--model", "endo", "--matrix", matrix)
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert len(data["convergence"]) == 10
+    assert data["residuals"]["max_abs_pairing"] < 1e-10

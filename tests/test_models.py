@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from nctorus.algebra import (
     Tolerance,
@@ -38,6 +39,7 @@ from nctorus.models import (
     harmonic_from_projection,
     ising_el_residual,
     ising_energy,
+    off_null_set,
     projection_defect,
     self_duality_residual,
     solve_constraint_for_B,
@@ -48,6 +50,7 @@ from nctorus.models import (
     su2_from_matrix,
     unitary_defect,
 )
+from oracles import ENDO_MATS, SU2_MATS
 
 TOL = Tolerance()
 THETA = 0.2
@@ -290,6 +293,44 @@ def test_endo_pairing_rejects_unconstrained_pair():
     if endo_constraint_residual(pair, phi) > 1e-6:
         with pytest.raises(ConstraintError):
             endo_el_pairing(pair, phi)
+
+
+# ------------------------------------------- both solvers across rational theta
+
+# theta = a/b with b <= 10, where the null set is more than the lattice
+# n p = q m, and arbitrary theta in [0.05, 0.95]
+THETA_RATIONAL_OR_ANY = st.one_of(
+    st.integers(2, 10).flatmap(lambda b: st.integers(1, b - 1).map(lambda a: a / b)),
+    st.floats(0.05, 0.95),
+)
+MATRIX_MODEL = st.sampled_from([("endo", m) for m in ENDO_MATS]
+                               + [("su2", m) for m in SU2_MATS])
+
+
+@seed(11)
+@settings(max_examples=40, deadline=None, database=None)
+@given(theta=THETA_RATIONAL_OR_ANY, model=MATRIX_MODEL, s=st.integers(0, 10**6))
+def test_solvers_succeed_off_the_null_set(theta, model, s):
+    kind, mat = model
+    if kind == "endo":
+        phi = endo_from_matrix(theta, *mat)
+        A = off_null_set(random_selfadjoint(theta, 3, s), phi.phiU)
+        B = solve_constraint_for_B(A, phi)
+        resid = endo_constraint_residual(ConstraintPair(A, B), phi)
+    else:
+        phi = su2_from_matrix(theta, *mat)
+        A = off_null_set(random_selfadjoint(theta, 3, s), phi.u)
+        B = solve_su2_constraint_for_B(A, phi)
+        resid = max(su2_constraint_residuals(ConstraintPair(A, B), phi))
+    assert resid <= 1e-12 * max(1.0, l1_norm(A), l1_norm(B))
+
+
+def test_off_null_set_drops_the_rational_null_set():
+    # theta = 1/5 and phi(U) = U V: the null set is n - m divisible by 5
+    theta = 0.2
+    A = off_null_set(random_selfadjoint(theta, 3, 4), monomial(theta, 1, 1))
+    assert len(A.coeffs) == 49 - 7 - 4
+    assert all((n - m) % 5 for m, n in A.coeffs)
 
 
 # -------------------------------------------------------------- coercive model
