@@ -367,8 +367,7 @@ def invert_positive(b: TorusElement, tol: Tolerance = DEFAULT_TOL,
     (1/l1(b)) 1, which contracts whenever b is boundedly invertible.  Raises
     NotInvertibleError when both attempts diverge.
     """
-    x, res, its, ok = invert_positive_with_stats(b, tol, max_iter)[:4]
-    return x
+    return invert_positive_with_stats(b, tol, max_iter)[0]
 
 
 def invert_positive_with_stats(b: TorusElement, tol: Tolerance = DEFAULT_TOL,
@@ -407,6 +406,7 @@ class InstantonRun:
     gram_inverse: TorusElement
     inversion_residual: float
     inversion_iterations: int
+    inversion_seed: str  # Newton-Schulz start that converged: "trace" or "l1"
     projection: TorusElement
     trunc_box: int
     tail_l1: float
@@ -428,13 +428,14 @@ def build_instanton(theta: float, lam: complex = 0.0, tol: Tolerance = DEFAULT_T
         raise ValueError("theta must lie in (0, 1)")
     xi = gaussian_vector(theta, lam=lam, width=1.0 / theta)
     gram = inner_B(xi, xi, tol)
-    ginv, res, its, _seed = invert_positive_with_stats(gram, tol)
+    ginv, res, its, seed = invert_positive_with_stats(gram, tol)
     x1 = act_right(xi, ginv, L=L, points=points)
     p = inner_A(x1, xi, tol, box=box)
     converged = p.tail_l1 <= tol.truncation_eps * max(1.0, l1_norm(p))
     return InstantonRun(theta=theta, lam=complex(lam), vector=xi, gram=gram,
                         gram_inverse=ginv, inversion_residual=res,
-                        inversion_iterations=its, projection=p, trunc_box=box,
+                        inversion_iterations=its, inversion_seed=seed,
+                        projection=p, trunc_box=box,
                         tail_l1=p.tail_l1, tail_converged=converged)
 
 

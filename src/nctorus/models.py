@@ -33,6 +33,7 @@ from .algebra import (
     scale,
     sub,
     trace,
+    trace_product,
 )
 
 
@@ -60,7 +61,7 @@ def projection_defect(p: TorusElement) -> tuple[float, float]:
 def ising_energy(p: TorusElement) -> float:
     """tau(delta_1(p)^2 + delta_2(p)^2); nonnegative for selfadjoint p."""
     d1, d2 = delta(1, p), delta(2, p)
-    return (trace(mul(d1, d1)) + trace(mul(d2, d2))).real
+    return (trace_product(d1, d1) + trace_product(d2, d2)).real
 
 
 def ising_commutator(p: TorusElement) -> TorusElement:
@@ -81,7 +82,7 @@ def chern_number(p: TorusElement) -> float:
     """
     d1, d2 = delta(1, p), delta(2, p)
     comm = sub(mul(d1, d2), mul(d2, d1))
-    return (trace(mul(p, comm)) / (2j * math.pi)).real
+    return (trace_product(p, comm) / (2j * math.pi)).real
 
 
 def duality_residuals(p: TorusElement) -> tuple[float, float]:
@@ -268,7 +269,7 @@ def _current_divergence_pairing(X: TorusElement, img: TorusElement) -> complex:
     total = 0.0 + 0.0j
     for j in (1, 2):
         inner = mul(adjoint(img), delta(j, img))
-        total += trace(mul(X, delta(j, inner)))
+        total += trace_product(X, delta(j, inner))
     return total
 
 
@@ -389,11 +390,11 @@ def _chiral_gradient(W: TorusElement) -> TorusElement:
 
 
 def chiral_variation_pairing(W: TorusElement, h: TorusElement) -> float:
-    return trace(mul(h, _chiral_gradient(W))).real
+    return trace_product(h, _chiral_gradient(W)).real
 
 
 def ising_variation_pairing(p: TorusElement, h: TorusElement) -> float:
-    return (-2j * trace(mul(h, ising_commutator(p)))).real
+    return (-2j * trace_product(h, ising_commutator(p))).real
 
 
 def first_variation_check(model: str, x: TorusElement, h: TorusElement,

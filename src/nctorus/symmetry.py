@@ -21,6 +21,7 @@ from .algebra import (
     TorusElement,
     adjoint,
     delta,
+    gns_norm,
     is_scalar,
     l1_norm,
     monomial,
@@ -81,7 +82,7 @@ def monomial_detector(w: TorusElement, tol: Tolerance = DEFAULT_TOL
     if defect > tol.truncation_eps:
         raise ValueError(f"monomial_detector needs a unitary input (defect {defect:.3e})")
     ws = adjoint(w)
-    norm_sq = trace(mul(ws, w)).real
+    norm_sq = gns_norm(w) ** 2
     witness = []
     for j in (1, 2):
         cur = mul(ws, delta(j, w))

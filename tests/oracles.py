@@ -7,6 +7,10 @@ Two deliberately different models of the same relations:
 * the q x q clock-and-shift matrix pair, which satisfies the same relation
   at theta = 1/q and carries the normalized matrix trace; its representation
   matrix_rep is the one the verify suite uses.
+
+It also keeps the product formulas of the functionals that now read tau(ab)
+through trace_product, written with mul_reference and trace, so the code
+under test is checked against forming the products.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import math
 
 import numpy as np
 
+from nctorus.algebra import adjoint, delta, laplacian, mul_reference, scale, sub, trace
 from nctorus.suites import clock_shift_rep as matrix_rep  # noqa: F401
 
 Symbol = tuple[str, int]  # ("U" | "V", +1 | -1)
@@ -80,3 +85,42 @@ def clock_shift(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def matrix_trace(mat: np.ndarray) -> complex:
     return complex(np.trace(mat)) / mat.shape[0]
+
+
+# ------------------------------------------- functionals as trace of products
+
+
+def ising_energy_by_products(p):
+    """tau(delta_1(p)^2 + delta_2(p)^2)."""
+    d1, d2 = delta(1, p), delta(2, p)
+    return (trace(mul_reference(d1, d1)) + trace(mul_reference(d2, d2))).real
+
+
+def chern_number_by_products(p):
+    """(1 / 2 pi i) tau(p [delta_1(p), delta_2(p)])."""
+    d1, d2 = delta(1, p), delta(2, p)
+    comm = sub(mul_reference(d1, d2), mul_reference(d2, d1))
+    return (trace(mul_reference(p, comm)) / (2j * math.pi)).real
+
+
+def chiral_variation_pairing_by_products(W, h):
+    """tau(h g) with g = i ((Lap W) W* - W (Lap W)*)."""
+    lw = laplacian(W)
+    X = sub(mul_reference(lw, adjoint(W)), mul_reference(W, adjoint(lw)))
+    return trace(mul_reference(h, scale(1j, X))).real
+
+
+def ising_variation_pairing_by_products(p, h):
+    """Re(-2i tau(h (p (Lap p) - (Lap p) p)))."""
+    lp = laplacian(p)
+    comm = sub(mul_reference(p, lp), mul_reference(lp, p))
+    return (-2j * trace(mul_reference(h, comm))).real
+
+
+def current_divergence_pairing_by_products(X, img):
+    """sum_j tau(X delta_j[img* delta_j(img)])."""
+    total = 0.0 + 0.0j
+    for j in (1, 2):
+        inner = mul_reference(adjoint(img), delta(j, img))
+        total += trace(mul_reference(X, delta(j, inner)))
+    return total

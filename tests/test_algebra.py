@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
+from nctorus import algebra
 from nctorus.algebra import (
     CompositionError,
+    ConvergenceError,
     Tolerance,
     TorusElement,
     add,
@@ -20,6 +23,7 @@ from nctorus.algebra import (
     laplacian,
     monomial,
     mul,
+    mul_reference,
     norms,
     one,
     prune,
@@ -28,6 +32,7 @@ from nctorus.algebra import (
     sub,
     to_json,
     trace,
+    trace_product,
     truncate,
     zero,
 )
@@ -137,6 +142,91 @@ def test_vectorized_mul_bit_identical_to_reference():
     fast = mul(a, b)
     slow = mul_reference(a, b)
     assert fast.coeffs == slow.coeffs
+
+
+ACROSS = settings(max_examples=20, deadline=None, database=None)
+THETA_RANGE = st.floats(0.05, 0.95)
+
+
+def _box_element(theta, rows, cols, terms, seed_):
+    """Random element with `terms` terms on the box rows x cols, keeping its
+    two corners so that its dense box is exactly rows x cols."""
+    rng = np.random.default_rng(seed_)
+    cells = [(m, n) for m in rows for n in cols]
+    corners = [cells[0], cells[-1]]
+    rest = [cells[i] for i in rng.permutation(len(cells) - 2) + 1][:terms - 2]
+    return TorusElement(theta, {k: complex(rng.standard_normal(), rng.standard_normal())
+                                for k in corners + rest})
+
+
+def _box_shape(a):
+    ms = [m for m, _ in a.coeffs]
+    ns = [n for _, n in a.coeffs]
+    return max(ms) - min(ms) + 1, max(ns) - min(ns) + 1
+
+
+def _scatters(a, b):
+    return algebra._scatter_is_cheaper(len(a.coeffs), _box_shape(a),
+                                       len(b.coeffs), _box_shape(b))
+
+
+@seed(17)
+@ACROSS
+@given(theta=THETA_RANGE, s=st.integers(0, 10**6))
+def test_mul_bit_identical_to_reference_on_both_paths(theta, s):
+    """Large x small takes the scatter path and small x large the block
+    path; of two nearly equal operands on one box, mul loops over the one
+    with fewer terms.  Every operand has negative indices."""
+    big = _box_element(theta, range(-7, 6), range(-5, 8), 120, s)
+    small = _box_element(theta, range(-1, 2), range(-2, 1), 7, s + 1)
+    near = _box_element(theta, range(-7, 6), range(-5, 8), 116, s + 2)
+    cases = [(big, small, True), (small, big, False), (big, near, True), (near, big, False)]
+    for a, b, scatter in cases:
+        assert len(a.coeffs) * len(b.coeffs) > 512
+        assert _scatters(a, b) is scatter
+        assert mul(a, b).coeffs == mul_reference(a, b).coeffs
+
+
+@seed(19)
+@ACROSS
+@given(theta=THETA_RANGE, s=st.integers(0, 10**6))
+def test_mul_bit_identical_to_reference_across_the_path_threshold(theta, s):
+    """The right operand grows term by term on a fixed box until mul stops
+    looping over it; both products at the switch match the reference."""
+    a = _box_element(theta, range(-5, 6), range(-6, 5), 40, s)
+    rows, cols = range(-3, 4), range(-4, 3)
+    b = None
+    for terms in range(2, len(rows) * len(cols) + 1):
+        nxt = _box_element(theta, rows, cols, terms, s + 1)
+        if b is not None and _scatters(a, b) and not _scatters(a, nxt):
+            break
+        b = nxt
+    else:
+        pytest.fail("the scatter/block switch was not crossed")
+    for right in (b, nxt):
+        assert mul(a, right).coeffs == mul_reference(a, right).coeffs
+        assert mul(right, a).coeffs == mul_reference(right, a).coeffs
+
+
+@seed(23)
+@ACROSS
+@given(theta=THETA_RANGE, s=st.integers(0, 10**6), ta=st.integers(1, 60), tb=st.integers(1, 60))
+def test_trace_product_is_trace_of_the_product(theta, s, ta, tb):
+    a = random_element(theta, 4, s, terms=ta)
+    b = random_element(theta, 4, s + 1, terms=tb)
+    tp = trace_product(a, b)
+    assert tp == trace(mul_reference(a, b))
+    assert abs(tp - trace_product(b, a)) <= 1e-12 * max(1.0, l1_norm(a) * l1_norm(b))
+
+
+def test_trace_product_examples():
+    a = monomial(THETA, 1, 2, 3.0)
+    assert trace_product(a, monomial(THETA, 1, -2, 1j)) == 0
+    assert trace_product(a, zero(THETA)) == 0
+    assert trace_product(a, monomial(THETA, -1, -2, 1j)) == pytest.approx(
+        3j * cmath.exp(2j * math.pi * THETA * 2))
+    with pytest.raises(CompositionError):
+        trace_product(one(0.2), one(0.3))
 
 
 # ------------------------------------------------------------------ involution
@@ -295,6 +385,12 @@ def test_exp_i_produces_unitary():
     w = exp_i(h, 0.7)
     defect = sub(mul(adjoint(w), w), one(THETA))
     assert l1_norm(defect) < 1e-11
+
+
+def test_exp_i_raises_when_the_series_hits_its_cap():
+    h = random_selfadjoint(THETA, 2, seed=9)
+    with pytest.raises(ConvergenceError, match="not converged after 3 terms"):
+        exp_i(h, max_order=3)
 
 
 def test_json_round_trip_bit_exact():

@@ -1,9 +1,11 @@
 """Driver behavior: determinism, exit codes, config handling, report formats."""
 
 import json
+import sys
 
 import pytest
 
+import nctorus.algebra as algebra
 import nctorus.symmetry as symmetry
 from nctorus.cli import (
     EXIT_INVARIANT,
@@ -170,3 +172,24 @@ def test_models_endo_at_rational_theta_solves_every_pair(capsys, matrix):
     data = json.loads(out)
     assert len(data["convergence"]) == 10
     assert data["residuals"]["max_abs_pairing"] < 1e-10
+
+
+def test_instanton_makes_27_products(monkeypatch, capsys):
+    """Products made by `nctorus instanton`, counted wherever mul is bound:
+    ising_energy and the Chern numbers read tau(ab) without forming ab."""
+    calls = []
+    original = algebra.mul
+
+    def counted(a, b):
+        calls.append((len(a.coeffs), len(b.coeffs)))
+        return original(a, b)
+
+    bound = [m for name, m in sys.modules.items()
+             if name.startswith("nctorus") and getattr(m, "mul", None) is original]
+    assert {m.__name__ for m in bound} >= {"nctorus.algebra", "nctorus.models", "nctorus.cli",
+                                           "nctorus.heisenberg", "nctorus.symmetry"}
+    for module in bound:
+        monkeypatch.setattr(module, "mul", counted)
+    code, _ = run_cli(capsys, "instanton")
+    assert code == EXIT_OK
+    assert len(calls) == 27, calls

@@ -342,6 +342,12 @@ def test_instanton_basic_quantities():
     assert run.tail_converged
 
 
+def test_instanton_keeps_the_inversion_seed():
+    run = build_instanton(0.2, 0.0, TOL, box=8)
+    *_, seed_used = invert_positive_with_stats(run.gram, TOL)
+    assert run.inversion_seed == seed_used == "trace"
+
+
 def test_instanton_nonzero_lambda_keeps_projection_quality():
     run = build_instanton(0.2, 0.7 - 0.3j, TOL, box=32)
     p = run.projection

@@ -9,6 +9,7 @@ from nctorus.algebra import (
     Tolerance,
     add,
     adjoint,
+    delta,
     exp_i,
     gns_norm,
     l1_norm,
@@ -21,6 +22,7 @@ from nctorus.algebra import (
     sub,
     zero,
 )
+from nctorus import models
 from nctorus.heisenberg import instanton
 from nctorus.models import (
     ConstraintError,
@@ -36,9 +38,11 @@ from nctorus.models import (
     endo_from_matrix,
     energy_descent,
     first_variation_check,
+    chiral_variation_pairing,
     harmonic_from_projection,
     ising_el_residual,
     ising_energy,
+    ising_variation_pairing,
     off_null_set,
     projection_defect,
     self_duality_residual,
@@ -50,7 +54,15 @@ from nctorus.models import (
     su2_from_matrix,
     unitary_defect,
 )
-from oracles import ENDO_MATS, SU2_MATS
+from oracles import (
+    ENDO_MATS,
+    SU2_MATS,
+    chern_number_by_products,
+    chiral_variation_pairing_by_products,
+    current_divergence_pairing_by_products,
+    ising_energy_by_products,
+    ising_variation_pairing_by_products,
+)
 
 TOL = Tolerance()
 THETA = 0.2
@@ -416,6 +428,53 @@ def test_su2_pairing_nonzero_for_noncritical_map():
     assert max(r1, r2) < 1e-9
     val = su2_el_pairing(ConstraintPair(A, A), phi)
     assert abs(val) > 1e-6
+
+
+# ------------------------------------------ trace functionals against products
+
+
+def _agree(value, oracle, scale_):
+    return abs(value - oracle) <= 1e-12 * max(1.0, scale_)
+
+
+def _trace_functional_cases(theta, s):
+    """(name, value, product-formula oracle, scale) for every functional
+    that reads tau(ab) through trace_product."""
+    p = random_selfadjoint(theta, 2, s)
+    h = random_selfadjoint(theta, 1, s + 1)
+    W = add(monomial(theta, 1, -1), scale(0.3, random_selfadjoint(theta, 2, s + 2)))
+    X = random_selfadjoint(theta, 2, s + 3)
+    d1, d2 = delta(1, p), delta(2, p)
+    lp = laplacian(p)
+    return [
+        ("ising_energy", ising_energy(p), ising_energy_by_products(p),
+         l1_norm(d1) ** 2 + l1_norm(d2) ** 2),
+        ("chern_number", chern_number(p), chern_number_by_products(p),
+         2 * l1_norm(p) * l1_norm(d1) * l1_norm(d2)),
+        ("chiral_variation_pairing", chiral_variation_pairing(W, h),
+         chiral_variation_pairing_by_products(W, h),
+         2 * l1_norm(h) * l1_norm(W) * l1_norm(laplacian(W))),
+        ("ising_variation_pairing", ising_variation_pairing(p, h),
+         ising_variation_pairing_by_products(p, h), 4 * l1_norm(h) * l1_norm(p) * l1_norm(lp)),
+        ("current_divergence_pairing", models._current_divergence_pairing(X, W),
+         current_divergence_pairing_by_products(X, W),
+         l1_norm(X) * l1_norm(W) * l1_norm(laplacian(W)) * 4),
+    ]
+
+
+@seed(29)
+@settings(max_examples=15, deadline=None, database=None)
+@given(theta=st.floats(0.05, 0.95), s=st.integers(0, 10**6))
+def test_trace_functionals_match_their_product_formulas(theta, s):
+    for name, value, oracle, scale_ in _trace_functional_cases(theta, s):
+        assert _agree(value, oracle, scale_), (name, value, oracle)
+
+
+def test_projection_trace_functionals_match_their_product_formulas():
+    p = instanton(THETA, 0.0, TOL, box=6)
+    assert _agree(ising_energy(p), ising_energy_by_products(p), 4 * PI)
+    assert _agree(chern_number(p), chern_number_by_products(p), 1.0)
+    assert chern_number(p) == pytest.approx(-1.0, abs=1e-3)
 
 
 # ---------------------------------------------------------- variational checks
