@@ -6,6 +6,16 @@ below follow from that single relation; in particular
 
     (U^k V^l)(U^m V^n) = exp(-2 pi i theta l m) U^{k+m} V^{l+n}.
 
+An element stores an integer offset (m0, n0) and a read-only 2-D complex
+array `box` over the bounding box of its support: box[i, j] is the
+coefficient of U^(m0 + i) V^(n0 + j).  Cells outside the support hold +0,
+and the box is cropped to the support on construction.  Coefficient-wise
+operations are array expressions that round exactly like the
+per-coefficient CPython arithmetic they stand for: complex products are
+formed from real and imaginary planes with CPython's formula, moduli come
+from np.hypot (numpy's complex multiply and complex abs round differently),
+and norms and tails are left-to-right sums in row-major order.
+
 Everything here is pure: no operation mutates its inputs.
 """
 
@@ -14,12 +24,17 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import ItemsView, Mapping, ValuesView
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+# Largest bounding box an element may span, in cells (16 bytes each): 64 MiB.
+# The adaptive inner products stop at [-512, 512]^2, about 1.05 M cells.
+MAX_BOX_CELLS = 1 << 22
 
 
 class CompositionError(ValueError):
@@ -27,7 +42,7 @@ class CompositionError(ValueError):
 
 
 class ConvergenceError(ArithmeticError):
-    """Raised when a series stops at its term cap without converging."""
+    """Raised when a series or an adaptive loop stops at its cap without converging."""
 
 
 @dataclass(frozen=True)
@@ -51,27 +66,107 @@ DEFAULT_TOL = Tolerance()
 
 Index = tuple[int, int]
 
+_EMPTY = np.zeros((0, 0), dtype=complex)
+_EMPTY.flags.writeable = False
 
-@dataclass(frozen=True, eq=False)
+
+def _check_cells(shape: tuple[int, int]) -> None:
+    if shape[0] * shape[1] > MAX_BOX_CELLS:
+        raise ValueError(f"bounding box {shape[0]} x {shape[1]} exceeds {MAX_BOX_CELLS} cells")
+
+
+def _crop(offset: Index, box: np.ndarray) -> tuple[Index, np.ndarray, int]:
+    """(offset, box, size) for an owned, writable box: cropped to its nonzero
+    cells, every other cell set to +0, and made read-only."""
+    mask = box != 0
+    size = int(np.count_nonzero(mask))
+    if size == 0:
+        return (0, 0), _EMPTY, 0
+    if size < mask.size:
+        np.copyto(box, 0, where=~mask)
+        rows = np.flatnonzero(mask.any(axis=1))
+        cols = np.flatnonzero(mask.any(axis=0))
+        r0, r1, c0, c1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+        if (r1 - r0, c1 - c0) != box.shape:
+            box = box[r0:r1, c0:c1].copy()
+            offset = (offset[0] + r0, offset[1] + c0)
+    box.flags.writeable = False
+    return offset, box, size
+
+
+def _fill(el, theta, offset, box, size, tail_l1) -> None:
+    for name, value in (("theta", theta), ("offset", offset), ("box", box), ("_size", size),
+                        ("tail_l1", tail_l1), ("_listing", None)):
+        object.__setattr__(el, name, value)
+
+
 class TorusElement:
     """A finitely supported element of the rotation algebra at deformation theta.
 
-    coeffs maps integer pairs (m, n) to the complex coefficient of U^m V^n.
-    tail_l1 accumulates the l1 mass dropped by truncation/pruning steps that
-    produced this element; it is diagnostic metadata, not part of the value.
+    coeffs is a read-only mapping from integer pairs (m, n) to the complex
+    coefficient of U^m V^n; offset and box are the stored form (see the
+    module docstring).  tail_l1 accumulates the l1 mass dropped by
+    truncation/pruning steps that produced this element; it is diagnostic
+    metadata, not part of the value.  Elements are immutable and compare by
+    identity.
     """
 
-    theta: float
-    coeffs: dict[Index, complex]
-    tail_l1: float = field(default=0.0, compare=False)
+    __slots__ = ("theta", "offset", "box", "tail_l1", "_size", "_listing")
 
-    def __post_init__(self):
-        # normal form: no explicit zeros stored; the caller's dict is left alone
-        if 0 in self.coeffs.values():
-            object.__setattr__(self, "coeffs", {k: c for k, c in self.coeffs.items() if c != 0})
+    def __init__(self, theta: float, coeffs: Mapping[Index, complex], tail_l1: float = 0.0):
+        n = len(coeffs)
+        if n == 0:
+            _fill(self, theta, (0, 0), _EMPTY, 0, tail_l1)
+            return
+        try:
+            idx = np.fromiter(chain.from_iterable(coeffs), dtype=np.int64, count=2 * n)
+        except OverflowError as exc:
+            raise ValueError("coefficient index outside the 64-bit range") from exc
+        idx = idx.reshape(n, 2)
+        m0, n0 = idx.min(axis=0).tolist()
+        m1, n1 = idx.max(axis=0).tolist()
+        _check_cells((m1 - m0 + 1, n1 - n0 + 1))
+        box = np.zeros((m1 - m0 + 1, n1 - n0 + 1), dtype=complex)
+        box[idx[:, 0] - m0, idx[:, 1] - n0] = np.fromiter(coeffs.values(), dtype=complex, count=n)
+        _fill(self, theta, *_crop((m0, n0), box), tail_l1)
+
+    @classmethod
+    def from_box(cls, theta: float, offset: Index, box: np.ndarray,
+                 tail_l1: float = 0.0) -> TorusElement:
+        """The element with coefficient box[i, j] at U^(m0 + i) V^(n0 + j).
+
+        Takes ownership of box, a writable complex array: it is cropped to its
+        nonzero cells, its zero cells are set to +0, and it is made read-only.
+        """
+        _check_cells(box.shape)
+        el = object.__new__(cls)
+        _fill(el, theta, *_crop((int(offset[0]), int(offset[1])), box), tail_l1)
+        return el
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TorusElement is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TorusElement is immutable")
+
+    def __reduce__(self):
+        return TorusElement.from_box, (self.theta, self.offset, self.box.copy(), self.tail_l1)
+
+    @property
+    def coeffs(self) -> Coefficients:
+        return Coefficients(self)
+
+    def _items(self) -> tuple[list[Index], list[complex]]:
+        """Keys and values of the nonzero cells in row-major order (cached)."""
+        if self._listing is None:
+            rows, cols = np.nonzero(self.box)
+            m0, n0 = self.offset
+            keys = list(zip((rows + m0).tolist(), (cols + n0).tolist()))
+            object.__setattr__(self, "_listing", (keys, self.box[rows, cols].tolist()))
+        return self._listing
 
     def support(self) -> list[Index]:
-        return sorted(self.coeffs)
+        return list(self._items()[0])
 
     def __add__(self, other):
         return add(self, other)
@@ -91,9 +186,95 @@ class TorusElement:
         return scale(-1.0, self)
 
     def __repr__(self):
-        terms = ", ".join(f"({m},{n}): {c:.6g}" for (m, n), c in sorted(self.coeffs.items())[:8])
-        more = "" if len(self.coeffs) <= 8 else f", ... ({len(self.coeffs)} terms)"
+        keys, vals = self._items()
+        terms = ", ".join(f"({m},{n}): {c:.6g}" for (m, n), c in zip(keys[:8], vals))
+        more = "" if self._size <= 8 else f", ... ({self._size} terms)"
         return f"TorusElement(theta={self.theta}, {{{terms}{more}}})"
+
+
+class Coefficients(Mapping):
+    """Read-only view of an element's coefficients, (m, n) -> complex.
+
+    Iterates in row-major (ascending (m, n)) order; len is O(1); compares
+    equal to a dict with the same items.
+    """
+
+    __slots__ = ("_element",)
+
+    def __init__(self, element: TorusElement):
+        self._element = element
+
+    def __len__(self):
+        return self._element._size
+
+    def __iter__(self):
+        return iter(self._element._items()[0])
+
+    def __getitem__(self, key):
+        el = self._element
+        m, n = key
+        i, j = m - el.offset[0], n - el.offset[1]
+        h, w = el.box.shape
+        if 0 <= i < h and 0 <= j < w:
+            c = complex(el.box[i, j])
+            if c != 0:
+                return c
+        raise KeyError(key)
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+    def __repr__(self):
+        return f"Coefficients({dict(self.items())!r})"
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(*self._mapping._element._items())
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._element._items()[1])
+
+
+def _with_tail(a: TorusElement, tail_l1: float) -> TorusElement:
+    """a's value (sharing its read-only box) with another tail."""
+    el = object.__new__(TorusElement)
+    _fill(el, a.theta, a.offset, a.box, a._size, tail_l1)
+    return el
+
+
+def _cmul(xr, xi, yr, yi):
+    """Planes of x * y as CPython forms a complex product:
+    (xr yr - xi yi, xr yi + xi yr).  A real factor enters with imaginary
+    part 0.0, as CPython converts it."""
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _from_planes(theta: float, offset: Index, re: np.ndarray, im: np.ndarray,
+                 tail_l1: float) -> TorusElement:
+    box = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=complex)
+    box.real = re
+    box.imag = im
+    return TorusElement.from_box(theta, offset, box, tail_l1)
+
+
+def _moduli(box: np.ndarray) -> np.ndarray:
+    """|c| per cell, bit for bit as CPython's abs(complex)."""
+    return np.hypot(box.real, box.imag)
+
+
+def _seqsum(x: np.ndarray) -> float:
+    """Left-to-right sum, as a Python loop adds; np.sum adds pairwise."""
+    return float(np.cumsum(x, axis=None)[-1]) if x.size else 0.0
 
 
 def _check_same_theta(a: TorusElement, b: TorusElement):
@@ -117,26 +298,56 @@ def one(theta: float) -> TorusElement:
     return monomial(theta, 0, 0, 1.0)
 
 
-def add(a: TorusElement, b: TorusElement) -> TorusElement:
+def _merge(offset: Index, box: np.ndarray, b: TorusElement, op) -> tuple[Index, np.ndarray]:
+    """op(cell, b's cell) at b's nonzero cells only, on box grown to cover b;
+    every other cell keeps its value and sign of zero.  A writable box that
+    already covers b is updated in place, otherwise a new array is returned."""
+    (bm, bn), (bh, bw) = b.offset, b.box.shape
+    (m0, n0), (h, w) = (offset, box.shape) if box.size else ((bm, bn), (0, 0))
+    top, left = min(m0, bm), min(n0, bn)
+    shape = (max(m0 + h, bm + bh) - top, max(n0 + w, bn + bw) - left)
+    if box.flags.writeable and (top, left) == (m0, n0) and shape == (h, w):
+        out = box
+    else:
+        _check_cells(shape)
+        out = np.zeros(shape, dtype=complex)
+        out[m0 - top:m0 - top + h, n0 - left:n0 - left + w] = box
+    region = out[bm - top:bm - top + bh, bn - left:bn - left + bw]
+    op(region, b.box, out=region, where=b.box != 0)
+    return (top, left), out
+
+
+def _add_or_sub(a: TorusElement, b: TorusElement, op) -> TorusElement:
     _check_same_theta(a, b)
-    out = dict(a.coeffs)
-    for k, c in b.coeffs.items():
-        out[k] = out.get(k, 0.0) + c
-    return TorusElement(a.theta, out, tail_l1=a.tail_l1 + b.tail_l1)
+    tail = a.tail_l1 + b.tail_l1
+    if not b._size:
+        return _with_tail(a, tail)
+    offset, out = _merge(a.offset, a.box, b, op)
+    return TorusElement.from_box(a.theta, offset, out, tail)
+
+
+def add(a: TorusElement, b: TorusElement) -> TorusElement:
+    return _add_or_sub(a, b, np.add)
 
 
 def sub(a: TorusElement, b: TorusElement) -> TorusElement:
-    _check_same_theta(a, b)
-    out = dict(a.coeffs)
-    for k, c in b.coeffs.items():
-        out[k] = out.get(k, 0.0) - c
-    return TorusElement(a.theta, out, tail_l1=a.tail_l1 + b.tail_l1)
+    return _add_or_sub(a, b, np.subtract)
+
+
+def modulate(a: TorusElement, factor) -> TorusElement:
+    """Each coefficient c of a times the matching cell f of factor (a complex
+    array broadcastable over a.box, or a scalar), rounded as CPython's c * f."""
+    if not a._size:
+        return _with_tail(a, a.tail_l1)
+    f = np.asarray(factor, dtype=complex)
+    re, im = _cmul(a.box.real, a.box.imag, f.real, f.imag)
+    return _from_planes(a.theta, a.offset, re, im, a.tail_l1)
 
 
 def scale(c: complex, a: TorusElement) -> TorusElement:
     if c == 0:
         return TorusElement(a.theta, {}, tail_l1=a.tail_l1)
-    return TorusElement(a.theta, {k: c * v for k, v in a.coeffs.items()}, tail_l1=a.tail_l1)
+    return modulate(a, complex(c))
 
 
 def _twist(theta: float, l: int, m: int) -> complex:
@@ -163,26 +374,6 @@ def mul_reference(a: TorusElement, b: TorusElement) -> TorusElement:
     return TorusElement(theta, out, tail_l1=a.tail_l1 + b.tail_l1)
 
 
-def _terms(coeffs: dict[Index, complex], order: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The indices, as an (n, 2) int array, and the coefficients of coeffs:
-    in storage order, or sorted by index, ascending for order 1 and
-    descending for order -1."""
-    items = sorted(coeffs.items(), reverse=order < 0) if order else coeffs.items()
-    n = len(coeffs)
-    idx = np.fromiter(chain.from_iterable(k for k, _ in items), dtype=np.int64, count=2 * n)
-    return idx.reshape(n, 2), np.fromiter((c for _, c in items), dtype=complex, count=n)
-
-
-def _dense(idx: np.ndarray, vals: np.ndarray, lo: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The terms as a dense (real, imaginary) pair of blocks over shape,
-    starting at index lo."""
-    block = np.zeros((2,) + shape)
-    rows, cols = idx[:, 0] - lo[0], idx[:, 1] - lo[1]
-    block[0, rows, cols] = vals.real
-    block[1, rows, cols] = vals.imag
-    return block
-
-
 def _twist_table(theta: float, ls: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of _twist(theta, l, m) over the grid ls x ms.
 
@@ -193,6 +384,12 @@ def _twist_table(theta: float, ls: np.ndarray, ms: np.ndarray) -> tuple[np.ndarr
     phase = {p: _twist(theta, p, 1) for p in set(prods)}
     ph = np.array([phase[p] for p in prods], dtype=complex).reshape(len(ls), len(ms))
     return ph.real.copy(), ph.imag.copy()
+
+
+def _index_range(a: TorusElement, axis: int) -> np.ndarray:
+    """The indices m (axis 0) or n (axis 1) spanned by a's box."""
+    start = a.offset[axis]
+    return np.arange(start, start + a.box.shape[axis])
 
 
 # Fixed cost of one accumulation step in mul (a few numpy calls), in units
@@ -211,57 +408,53 @@ def mul(a: TorusElement, b: TorusElement) -> TorusElement:
     loops over whichever operand is cheaper:
 
     * block path: one step per left term, ascending, each adding
-      a_i * (phase * b) over the dense box of b;
+      a_i * (phase * b) over the box of b;
     * scatter path: one step per right term, descending, each adding
-      a * (phase * b_j) over the dense box of a.
+      a * (phase * b_j) over the box of a.
 
     Real and imaginary parts are carried as separate planes, with the naive
     complex multiply formula: separate numpy ufunc calls round exactly like
     CPython's scalar complex arithmetic.
     """
     _check_same_theta(a, b)
-    na, nb = len(a.coeffs), len(b.coeffs)
+    na, nb = a._size, b._size
     if na * nb <= 512:
         return mul_reference(a, b)
     theta = a.theta
-    a_idx, a_val = _terms(a.coeffs)
-    b_idx, b_val = _terms(b.coeffs)
-    a_lo, b_lo = a_idx.min(axis=0), b_idx.min(axis=0)
-    a_shape = tuple(int(s) for s in a_idx.max(axis=0) - a_lo + 1)
-    b_shape = tuple(int(s) for s in b_idx.max(axis=0) - b_lo + 1)
+    a_shape, b_shape = a.box.shape, b.box.shape
+    out_shape = (a_shape[0] + b_shape[0] - 1, a_shape[1] + b_shape[1] - 1)
+    _check_cells(out_shape)
     # tw[l, m] = _twist(theta, l, m) for l over a's columns, m over b's rows
-    tw_re, tw_im = _twist_table(theta, np.arange(a_lo[1], a_lo[1] + a_shape[1]),
-                                np.arange(b_lo[0], b_lo[0] + b_shape[0]))
+    tw_re, tw_im = _twist_table(theta, _index_range(a, 1), _index_range(b, 0))
     # Each step adds x * y to the output box at (row, col), with the complex
     # multiply split into planes as CPython does it:
     #     (x_re * y_re, x_re * y_im) + (-x_im * y_im, x_im * y_re),
     # and is given as (x_re, (y_re, y_im), -x_im, y_im, x_im, y_re, row, col).
     if _scatter_is_cheaper(na, a_shape, nb, b_shape):
         # x: the planes of a; y: phase * b_j over a's columns
-        x_re, x_im = _dense(a_idx, a_val, a_lo, a_shape)
-        b_idx, b_val = _terms(b.coeffs, -1)
-        rows = b_idx[:, 0] - b_lo[0]
+        x_re, x_im = np.ascontiguousarray(a.box.real), np.ascontiguousarray(a.box.imag)
+        rows, cols = (r[::-1] for r in np.nonzero(b.box))
+        b_val = b.box[rows, cols]
         t_re, t_im = tw_re[:, rows].T, tw_im[:, rows].T
-        c_re, c_im = b_val.real[:, None], b_val.imag[:, None]
-        y = np.stack((t_re * c_re - t_im * c_im, t_re * c_im + t_im * c_re), axis=1)
+        y = np.stack(_cmul(t_re, t_im, b_val.real[:, None], b_val.imag[:, None]), axis=1)
         neg_x_im = -x_im
         steps = ((x_re, y[j, :, None], neg_x_im, y[j, 1], x_im, y[j, 0], r, c)
-                 for j, (r, c) in enumerate((b_idx - b_lo).tolist()))
+                 for j, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())))
         shape = a_shape
     else:
         # x: a_i; y: phase * b over b's box, one per column l of a
-        b_re, b_im = _dense(b_idx, b_val, b_lo, b_shape)
-        a_idx, a_val = _terms(a.coeffs, 1)
+        b_re, b_im = b.box.real, b.box.imag
+        rows, cols = np.nonzero(a.box)
+        a_val = a.box[rows, cols]
         ys = {}
-        for l in set((a_idx[:, 1] - a_lo[1]).tolist()):
-            t_re, t_im = tw_re[l][:, None], tw_im[l][:, None]
-            y = np.stack((t_re * b_re - t_im * b_im, t_re * b_im + t_im * b_re))
+        for l in set(cols.tolist()):
+            y = np.stack(_cmul(tw_re[l][:, None], tw_im[l][:, None], b_re, b_im))
             ys[l] = (y, y[1], y[0])
         steps = ((x_re, ys[c][0], -x_im, ys[c][1], x_im, ys[c][2], r, c)
-                 for x_re, x_im, (r, c) in zip(a_val.real.tolist(), a_val.imag.tolist(),
-                                               (a_idx - a_lo).tolist()))
+                 for x_re, x_im, r, c in zip(a_val.real.tolist(), a_val.imag.tolist(),
+                                             rows.tolist(), cols.tolist()))
         shape = b_shape
-    out = np.zeros((2, a_shape[0] + b_shape[0] - 1, a_shape[1] + b_shape[1] - 1))
+    out = np.zeros((2,) + out_shape)
     acc = np.empty((2,) + shape)
     cross = np.empty((2,) + shape)
     cross_re, cross_im = cross
@@ -272,7 +465,8 @@ def mul(a: TorusElement, b: TorusElement) -> TorusElement:
         np.multiply(q3, p3, out=cross_im)
         acc += cross
         out[:, r:r + h, c:c + w] += acc
-    return TorusElement(theta, _to_coeffs(out, a_lo + b_lo), tail_l1=a.tail_l1 + b.tail_l1)
+    offset = (a.offset[0] + b.offset[0], a.offset[1] + b.offset[1])
+    return _from_planes(theta, offset, out[0], out[1], a.tail_l1 + b.tail_l1)
 
 
 def _scatter_is_cheaper(na: int, a_shape: tuple[int, int], nb: int, b_shape: tuple[int, int]) -> bool:
@@ -282,78 +476,92 @@ def _scatter_is_cheaper(na: int, a_shape: tuple[int, int], nb: int, b_shape: tup
             < na * (_STEP_CELLS + b_shape[0] * b_shape[1]))
 
 
-def _to_coeffs(out: np.ndarray, lo: np.ndarray) -> dict[Index, complex]:
-    """The nonzero cells of a (real, imaginary) pair of dense blocks starting
-    at index lo, in row-major order."""
-    mask = (out[0] != 0) | (out[1] != 0)
-    rows, cols = np.nonzero(mask)
-    vals = np.empty(len(rows), dtype=complex)
-    vals.real = out[0][mask]
-    vals.imag = out[1][mask]
-    keys = zip((rows + int(lo[0])).tolist(), (cols + int(lo[1])).tolist())
-    return dict(zip(keys, vals.tolist()))
-
-
 def adjoint(a: TorusElement) -> TorusElement:
     """Involution: (a*)_{m,n} = conj(a_{-m,-n}) exp(-2 pi i theta m n)."""
-    out = {}
-    for (m, n), c in a.coeffs.items():
-        out[(-m, -n)] = c.conjugate() * _twist(a.theta, m, n)
-    return TorusElement(a.theta, out, tail_l1=a.tail_l1)
+    if not a._size:
+        return _with_tail(a, a.tail_l1)
+    t_re, t_im = _twist_table(a.theta, _index_range(a, 0), _index_range(a, 1))
+    re, im = _cmul(a.box.real, -a.box.imag, t_re, t_im)
+    (m0, n0), (h, w) = a.offset, a.box.shape
+    return _from_planes(a.theta, (-(m0 + h - 1), -(n0 + w - 1)),
+                        re[::-1, ::-1], im[::-1, ::-1], a.tail_l1)
+
+
+def _origin(a: TorusElement) -> Index | None:
+    """Position of the (0, 0) coefficient in a's box; None when outside it."""
+    (m0, n0), (h, w) = a.offset, a.box.shape
+    return (-m0, -n0) if 0 <= -m0 < h and 0 <= -n0 < w else None
 
 
 def trace(a: TorusElement) -> complex:
     """The unique normalized trace: the coefficient at (0, 0)."""
-    return complex(a.coeffs.get((0, 0), 0.0))
+    at = _origin(a)
+    return 0j if at is None else complex(a.box[at])
 
 
 def trace_product(a: TorusElement, b: TorusElement) -> complex:
     """tau(ab) = sum_{m,n} a_{m,n} b_{-m,-n} exp(2 pi i theta m n), without forming ab.
 
-    The terms are added in ascending order of a's index, the order in which
-    mul and mul_reference accumulate the (0, 0) coefficient, so this equals
-    trace(mul(a, b)) bit for bit.  Costs O(min(|a|, |b|)) lookups plus a sort.
+    The terms are added one by one in ascending order of a's index, the
+    order in which mul and mul_reference accumulate the (0, 0) coefficient,
+    so this equals trace(mul(a, b)) bit for bit.  Costs O(overlap) cells of
+    a's box and the reflection of b's.
     """
     _check_same_theta(a, b)
-    ac, bc = a.coeffs, b.coeffs
-    if len(ac) <= len(bc):
-        keys = [(m, n) for m, n in ac if (-m, -n) in bc]
-    else:
-        keys = [(-m, -n) for m, n in bc if (-m, -n) in ac]
-    total = 0.0
-    for m, n in sorted(keys):
-        total = total + ac[(m, n)] * (_twist(a.theta, n, -m) * bc[(-m, -n)])
-    return complex(total)
+    (am, an), (ah, aw) = a.offset, a.box.shape
+    (bm, bn), (bh, bw) = b.offset, b.box.shape
+    # a's rows m and columns n whose reflection (-m, -n) lies in b's box
+    m_lo, m_hi = max(am, -(bm + bh - 1)), min(am + ah - 1, -bm)
+    n_lo, n_hi = max(an, -(bn + bw - 1)), min(an + aw - 1, -bn)
+    if not (a._size and b._size) or m_lo > m_hi or n_lo > n_hi:
+        return 0j
+    x = a.box[m_lo - am:m_hi - am + 1, n_lo - an:n_hi - an + 1]
+    z = b.box[-m_hi - bm:-m_lo - bm + 1, -n_hi - bn:-n_lo - bn + 1][::-1, ::-1]
+    # phase _twist(theta, n, -m), a function of -m n
+    t_re, t_im = _twist_table(a.theta, -np.arange(m_lo, m_hi + 1), np.arange(n_lo, n_hi + 1))
+    y_re, y_im = _cmul(t_re, t_im, z.real, z.imag)
+    re, im = _cmul(x.real, x.imag, y_re, y_im)
+    both = (x != 0) & (z != 0)
+    # the running total starts at the float 0.0, as in a Python loop
+    return complex(0.0 + _seqsum(re[both]), 0.0 + _seqsum(im[both]))
 
 
 def delta(j: int, a: TorusElement) -> TorusElement:
     """Canonical derivations: delta_1 scales a_{m,n} by 2 pi i m, delta_2 by 2 pi i n."""
     if j not in (1, 2):
         raise ValueError("derivation index must be 1 or 2")
-    pick = 0 if j == 1 else 1
-    out = {k: c * (TWO_PI * 1j * k[pick]) for k, c in a.coeffs.items() if k[pick] != 0}
-    return TorusElement(a.theta, out, tail_l1=a.tail_l1)
+    if not a._size:
+        return _with_tail(a, a.tail_l1)
+    axis = j - 1
+    ks = _index_range(a, axis).tolist()
+    f = np.array([TWO_PI * 1j * k for k in ks], dtype=complex)
+    f = f.reshape((-1, 1) if axis == 0 else (1, -1))
+    re, im = _cmul(a.box.real, a.box.imag, f.real, f.imag)
+    if ks[0] <= 0 <= ks[-1]:
+        at_zero = (-ks[0], slice(None)) if axis == 0 else (slice(None), -ks[0])
+        re[at_zero] = im[at_zero] = 0.0
+    return _from_planes(a.theta, a.offset, re, im, a.tail_l1)
+
+
+_LAPLACE = -4.0 * math.pi**2
 
 
 def laplacian(a: TorusElement) -> TorusElement:
     """delta_1^2 + delta_2^2: coefficient-wise multiplication by -4 pi^2 (m^2 + n^2)."""
-    out = {
-        k: c * (-4.0 * math.pi**2 * (k[0] * k[0] + k[1] * k[1]))
-        for k, c in a.coeffs.items()
-        if k != (0, 0)
-    }
-    return TorusElement(a.theta, out, tail_l1=a.tail_l1)
+    if not a._size:
+        return _with_tail(a, a.tail_l1)
+    ms, ns = _index_range(a, 0)[:, None], _index_range(a, 1)[None, :]
+    re, im = _cmul(a.box.real, a.box.imag, _LAPLACE * (ms * ms + ns * ns), 0.0)
+    at = _origin(a)
+    if at is not None:
+        re[at] = im[at] = 0.0
+    return _from_planes(a.theta, a.offset, re, im, a.tail_l1)
 
 
 def norms(a: TorusElement) -> tuple[float, float]:
     """(l1, gns) coefficient norms; l1 dominates the operator norm, gns = tau(a* a)^(1/2)."""
-    l1 = 0.0
-    sq = 0.0
-    for c in a.coeffs.values():
-        m = abs(c)
-        l1 += m
-        sq += m * m
-    return l1, math.sqrt(sq)
+    mags = _moduli(a.box)
+    return _seqsum(mags), math.sqrt(_seqsum(mags * mags))
 
 
 def l1_norm(a: TorusElement) -> float:
@@ -366,8 +574,11 @@ def gns_norm(a: TorusElement) -> float:
 
 def is_scalar(a: TorusElement, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the off-scalar l1 mass is at most tol.algebraic_eps."""
-    off = sum(abs(c) for k, c in a.coeffs.items() if k != (0, 0))
-    return off <= tol.algebraic_eps
+    mags = _moduli(a.box)
+    at = _origin(a)
+    if at is not None:
+        mags[at] = 0.0
+    return _seqsum(mags) <= tol.algebraic_eps
 
 
 def random_selfadjoint(theta: float, box: int, seed: int) -> TorusElement:
@@ -402,29 +613,46 @@ def random_element(theta: float, box: int, seed: int, terms: int = 6) -> TorusEl
 
 def truncate(a: TorusElement, box: int) -> TorusElement:
     """Drop coefficients outside [-box, box]^2, recording their l1 mass as tail."""
-    kept = {}
-    dropped = 0.0
-    for (m, n), c in a.coeffs.items():
-        if abs(m) <= box and abs(n) <= box:
-            kept[(m, n)] = c
-        else:
-            dropped += abs(c)
-    return TorusElement(a.theta, kept, tail_l1=a.tail_l1 + dropped)
+    (m0, n0), (h, w) = a.offset, a.box.shape
+    r0, r1 = max(0, -box - m0), min(h, box - m0 + 1)
+    c0, c1 = max(0, -box - n0), min(w, box - n0 + 1)
+    if (r0, r1, c0, c1) == (0, h, 0, w):
+        return _with_tail(a, a.tail_l1)
+    outside = np.ones((h, w), dtype=bool)
+    outside[r0:max(r0, r1), c0:max(c0, c1)] = False
+    dropped = _seqsum(_moduli(a.box[outside]))
+    if r0 >= r1 or c0 >= c1:
+        return TorusElement(a.theta, {}, tail_l1=a.tail_l1 + dropped)
+    kept = a.box[r0:r1, c0:c1].copy()
+    return TorusElement.from_box(a.theta, (m0 + r0, n0 + c0), kept, a.tail_l1 + dropped)
+
+
+def _split(box: np.ndarray, rel_threshold: float) -> tuple[np.ndarray, float]:
+    """(kept, dropped): box with every cell of modulus at most
+    rel_threshold * peak set to 0, and the sum of those moduli.
+
+    peak is Python's max over the nonzero cells in row-major order: NaN
+    when the first of them is NaN (then nothing is kept), otherwise the
+    largest modulus that is not NaN.
+    """
+    if not box.size:
+        return box, 0.0
+    mags = _moduli(box)
+    flat = mags.ravel()
+    peak = float(np.fmax.reduce(flat))
+    nans = np.isnan(flat)
+    if nans.any() and nans[np.flatnonzero(flat)[0]]:
+        peak = math.nan
+    drop = ~(mags > rel_threshold * peak)
+    return np.where(drop, 0j, box), _seqsum(mags[drop])
 
 
 def prune(a: TorusElement, rel_threshold: float = 1e-16) -> TorusElement:
     """Drop coefficients below rel_threshold * max |a_{m,n}|, recording tail mass."""
-    if not a.coeffs:
+    if not a._size:
         return a
-    cut = rel_threshold * max(abs(c) for c in a.coeffs.values())
-    kept = {}
-    dropped = 0.0
-    for k, c in a.coeffs.items():
-        if abs(c) > cut:
-            kept[k] = c
-        else:
-            dropped += abs(c)
-    return TorusElement(a.theta, kept, tail_l1=a.tail_l1 + dropped)
+    kept, dropped = _split(a.box, rel_threshold)
+    return TorusElement.from_box(a.theta, a.offset, kept, a.tail_l1 + dropped)
 
 
 def exp_i(h: TorusElement, t: float = 1.0, series_eps: float = 1e-15, max_order: int = 60) -> TorusElement:
@@ -434,27 +662,42 @@ def exp_i(h: TorusElement, t: float = 1.0, series_eps: float = 1e-15, max_order:
     series_eps relative to the accumulated l1 mass; ConvergenceError is
     raised when that has not happened after max_order terms.  Per-term
     pruning keeps the support from growing linearly with the series order.
+    Each order is one mul; scaling, pruning and the running sum are array
+    operations, the sum on one dense box that grows with the support.
     """
-    acc = one(h.theta)
-    term = one(h.theta)
+    theta = h.theta
     ith = scale(1j * t, h)
+    term = one(theta)
+    offset, acc, acc_tail = term.offset, term.box.copy(), term.tail_l1
+    term_l1 = acc_l1 = 1.0
     for k in range(1, max_order + 1):
-        term = prune(scale(1.0 / k, mul(term, ith)), 1e-17)
-        acc = add(acc, term)
-        if l1_norm(term) <= series_eps * max(1.0, l1_norm(acc)):
-            return prune(acc, 1e-17)
+        prod = mul(term, ith)
+        # prune(scale(1 / k, prod), 1e-17)
+        re, im = _cmul(1.0 / k, 0.0, prod.box.real, prod.box.imag)
+        scaled = np.empty(prod.box.shape, dtype=complex)
+        scaled.real, scaled.imag = re, im
+        kept, dropped = _split(scaled, 1e-17)
+        term = TorusElement.from_box(theta, prod.offset, kept, prod.tail_l1 + dropped)
+        # acc = add(acc, term)
+        offset, acc = _merge(offset, acc, term, np.add)
+        acc_tail = acc_tail + term.tail_l1
+        term_l1, acc_l1 = _seqsum(_moduli(term.box)), _seqsum(_moduli(acc))
+        if term_l1 <= series_eps * max(1.0, acc_l1):
+            return prune(TorusElement.from_box(theta, offset, acc, acc_tail), 1e-17)
     raise ConvergenceError(
         f"exp_i: series not converged after {max_order} terms "
-        f"(last term l1 {l1_norm(term):.3e}, sum l1 {l1_norm(acc):.3e})")
+        f"(last term l1 {term_l1:.3e}, sum l1 {acc_l1:.3e})")
 
 
 def to_json(a: TorusElement) -> str:
     """Serialize as {"theta": t, "coeffs": [[m, n, re, im], ...]} sorted by (m, n)."""
-    rows = [[m, n, c.real, c.imag] for (m, n), c in sorted(a.coeffs.items())]
+    rows = [[m, n, c.real, c.imag] for (m, n), c in a.coeffs.items()]
     return json.dumps({"theta": a.theta, "coeffs": rows})
 
 
 def from_json(text: str) -> TorusElement:
+    """Inverse of to_json.  Raises ValueError when the support's bounding box
+    exceeds MAX_BOX_CELLS."""
     data = json.loads(text)
     coeffs = {(int(m), int(n)): complex(re, im) for m, n, re, im in data["coeffs"]}
     return TorusElement(float(data["theta"]), coeffs)

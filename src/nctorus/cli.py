@@ -18,6 +18,7 @@ import typing
 from dataclasses import dataclass, fields, replace
 
 from .algebra import (
+    ConvergenceError,
     Tolerance,
     gns_norm,
     monomial,
@@ -125,12 +126,13 @@ def cmd_instanton(config: RunConfig) -> tuple[ModelReport, int]:
     try:
         run = hb.build_instanton(config.theta, config.lam, tol, box=config.trunc_box,
                                  L=config.grid_l, points=config.grid_points)
-    except (hb.NotInvertibleError, ValueError) as exc:
+    except (hb.NotInvertibleError, ConvergenceError, ValueError) as exc:
         report = ModelReport(model="instanton", theta=config.theta,
                              inputs=_config_dict(config),
                              residuals={"error": str(exc)},
                              tolerances=tolerance_dict(tol))
-        report.inputs["error_kind"] = "inversion_failure"
+        report.inputs["error_kind"] = ("convergence_failure" if isinstance(exc, ConvergenceError)
+                                       else "inversion_failure")
         return report, EXIT_NUMERICAL
 
     p = run.projection
@@ -194,7 +196,7 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float]) -> tuple[Model
             p = run.projection
             row.update(_projection_row(p))
             row.update({"energy": md.ising_energy(p), "error": ""})
-        except (hb.NotInvertibleError, ValueError) as exc:
+        except (hb.NotInvertibleError, ConvergenceError, ValueError) as exc:
             row.update({"error": str(exc)})
             worst = EXIT_NUMERICAL
         rows.append(row)

@@ -33,6 +33,7 @@ import numpy as np
 
 from .algebra import (
     CompositionError,
+    ConvergenceError,
     DEFAULT_TOL,
     Tolerance,
     TorusElement,
@@ -48,6 +49,8 @@ from .algebra import (
 
 GRID_L = 20.0
 GRID_POINTS = 4001
+# Largest half-width of the adaptive inner-product box.
+BOX_CAP = 512
 
 
 class NotInvertibleError(RuntimeError):
@@ -255,12 +258,11 @@ def _ring_l1(mat: np.ndarray) -> float:
 
 def _to_element(theta: float, mat: np.ndarray, ms: np.ndarray, ns: np.ndarray,
                 drop: float, tail: float) -> TorusElement:
-    """Entries above drop * peak, in row-major order; a NaN peak keeps none."""
+    """Entries above drop * peak of mat over the consecutive indices ms x ns;
+    a NaN peak keeps none."""
     mag = np.abs(mat)
-    rows, cols = np.nonzero(mag > drop * mag.max())
-    coeffs = {(m, n): c for m, n, c in zip(ms[rows].tolist(), ns[cols].tolist(),
-                                           mat[rows, cols].tolist())}
-    return TorusElement(theta, coeffs, tail_l1=tail)
+    kept = np.where(mag > drop * mag.max(), mat, 0j)
+    return TorusElement.from_box(theta, (ms[0], ns[0]), kept, tail_l1=tail)
 
 
 def _inner_product(first: SchwartzVector, second: SchwartzVector, right: bool,
@@ -272,17 +274,15 @@ def _inner_product(first: SchwartzVector, second: SchwartzVector, right: bool,
     left side carries the extra factor theta exp(-2 pi i theta m n).  With
     box=None the box is grown adaptively until the boundary ring falls below
     truncation_eps relative to the peak; the final ring mass is recorded on
-    the result as tail_l1.
+    the result as tail_l1.  ConvergenceError is raised when the box reaches
+    [-BOX_CAP, BOX_CAP] on a side whose ring is still above that threshold.
     """
     if first.theta != second.theta:
         raise CompositionError("theta mismatch between vectors")
     theta = first.theta
     freq_scale = -2.0 * np.pi / theta if right else -2.0 * np.pi
-    if box is not None:
-        mB = nB = box
-    else:
-        mB = nB = 8
-    cap = 512
+    cap = BOX_CAP
+    mB = nB = min(8, cap) if box is None else box
     while True:
         ms = np.arange(-mB, mB + 1)
         ns = np.arange(-nB, nB + 1)
@@ -304,6 +304,10 @@ def _inner_product(first: SchwartzVector, second: SchwartzVector, right: bool,
             nB = min(cap, 2 * nB)
             grown = True
         if not grown:
+            if row_edge > thresh or col_edge > thresh:
+                raise ConvergenceError(
+                    f"inner product box reached its cap {cap} with boundary ring "
+                    f"{max(row_edge, col_edge):.3e} above {thresh:.3e}")
             break
     return _to_element(dual_theta(theta) if right else theta, mat, ms, ns,
                        drop=1e-18, tail=_ring_l1(mat))

@@ -383,14 +383,19 @@ def su2_el_pairing(pair: ConstraintPair, phi: CoerciveQuadruple,
 
 
 def _chiral_gradient(W: TorusElement) -> TorusElement:
-    """Self-adjoint gradient g with dE/dt = tau(h g) along W_t = exp(i t h) W."""
-    lw = laplacian(W)
-    X = sub(mul(lw, adjoint(W)), mul(W, adjoint(lw)))
-    return scale(1j, X)
+    """Self-adjoint gradient g with dE/dt = tau(h g) along W_t = exp(i t h) W:
+    g = i(Y - Y*) with Y = (Lap W) W*, since W (Lap W)* = Y*."""
+    Y = mul(laplacian(W), adjoint(W))
+    return scale(1j, sub(Y, adjoint(Y)))
 
 
 def chiral_variation_pairing(W: TorusElement, h: TorusElement) -> float:
-    return trace_product(h, _chiral_gradient(W)).real
+    """tau(h g) for the gradient g of _chiral_gradient, by cyclicity
+    Re(i (tau(W* h Lap W) - tau((Lap W)* h W))): two products with the
+    direction h in place of two products of W with Lap W."""
+    lw = laplacian(W)
+    return (1j * (trace_product(mul(adjoint(W), h), lw)
+                  - trace_product(mul(adjoint(lw), h), W))).real
 
 
 def ising_variation_pairing(p: TorusElement, h: TorusElement) -> float:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .algebra import (
     DEFAULT_TOL,
     Tolerance,
@@ -24,6 +26,7 @@ from .algebra import (
     gns_norm,
     is_scalar,
     l1_norm,
+    modulate,
     monomial,
     mul,
     one,
@@ -47,11 +50,10 @@ def ad(w_index: LatticePoint, x: TorusElement) -> TorusElement:
     m, n = w_index
     if m == 0 and n == 0:
         return x
-    out = {
-        (a, b): c * _ad_phase(x.theta, m, n, a, b)
-        for (a, b), c in x.coeffs.items()
-    }
-    return TorusElement(x.theta, out, tail_l1=x.tail_l1)
+    (a0, b0), (h, w) = x.offset, x.box.shape
+    phases = [_ad_phase(x.theta, m, n, a, b)
+              for a in range(a0, a0 + h) for b in range(b0, b0 + w)]
+    return modulate(x, np.array(phases, dtype=complex).reshape(h, w))
 
 
 def ad_via_products(w_index: LatticePoint, x: TorusElement) -> TorusElement:

@@ -124,3 +124,137 @@ def current_divergence_pairing_by_products(X, img):
         inner = mul_reference(adjoint(img), delta(j, img))
         total += trace(mul_reference(X, delta(j, inner)))
     return total
+
+
+def chiral_gradient_by_products(W):
+    """i ((Lap W) W* - W (Lap W)*), both products formed."""
+    lw = laplacian(W)
+    return scale(1j, sub(mul_reference(lw, adjoint(W)), mul_reference(W, adjoint(lw))))
+
+
+# ------------------------------------- coefficient-wise operations on dicts
+#
+# The dict-and-loop forms of the coefficient-wise operations and of exp_i,
+# as they stood before elements became arrays.  Each takes and returns
+# plain dicts {(m, n): complex} in the normal form of the old constructor
+# (no stored zeros); operations that drop mass also return the dropped l1
+# mass, summed in the iteration order of their input dict.
+
+
+def _normal(coeffs):
+    return {k: c for k, c in coeffs.items() if c != 0}
+
+
+def _twist(theta, l, m):
+    if l == 0 or m == 0:
+        return 1.0 + 0.0j
+    return cmath.exp(-2j * math.pi * theta * (l * m))
+
+
+def add_dict(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0.0) + c
+    return _normal(out)
+
+
+def sub_dict(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0.0) - c
+    return _normal(out)
+
+
+def scale_dict(c, a):
+    if c == 0:
+        return {}
+    return _normal({k: c * v for k, v in a.items()})
+
+
+def adjoint_dict(theta, a):
+    return _normal({(-m, -n): c.conjugate() * _twist(theta, m, n) for (m, n), c in a.items()})
+
+
+def delta_dict(j, a):
+    pick = 0 if j == 1 else 1
+    return _normal({k: c * (2.0 * math.pi * 1j * k[pick]) for k, c in a.items() if k[pick] != 0})
+
+
+def laplacian_dict(a):
+    return _normal({k: c * (-4.0 * math.pi**2 * (k[0] * k[0] + k[1] * k[1]))
+                    for k, c in a.items() if k != (0, 0)})
+
+
+def norms_dict(a):
+    l1 = 0.0
+    sq = 0.0
+    for c in a.values():
+        m = abs(c)
+        l1 += m
+        sq += m * m
+    return l1, math.sqrt(sq)
+
+
+def is_scalar_dict(a, eps):
+    return sum(abs(c) for k, c in a.items() if k != (0, 0)) <= eps
+
+
+def truncate_dict(a, box):
+    kept, dropped = {}, 0.0
+    for (m, n), c in a.items():
+        if abs(m) <= box and abs(n) <= box:
+            kept[(m, n)] = c
+        else:
+            dropped += abs(c)
+    return kept, dropped
+
+
+def prune_dict(a, rel_threshold):
+    if not a:
+        return {}, 0.0
+    cut = rel_threshold * max(abs(c) for c in a.values())
+    kept, dropped = {}, 0.0
+    for k, c in a.items():
+        if abs(c) > cut:
+            kept[k] = c
+        else:
+            dropped += abs(c)
+    return kept, dropped
+
+
+def ad_dict(theta, w_index, a):
+    """w a w* for w = U^m V^n, coefficient by coefficient."""
+    m, n = w_index
+    if m == 0 and n == 0:
+        return dict(a)
+    out = {}
+    for (p, q), c in a.items():
+        arg = m * q - n * p
+        out[(p, q)] = c * (1.0 + 0.0j if arg == 0 else cmath.exp(2j * math.pi * theta * arg))
+    return _normal(out)
+
+
+def mul_dict(theta, a, b):
+    """The twisted product as the double loop over sorted supports."""
+    out = {}
+    bitems = sorted(b.items())
+    for (k, l), ca in sorted(a.items()):
+        for (mp, nq), cb in bitems:
+            key = (k + mp, l + nq)
+            out[key] = out.get(key, 0.0) + ca * (_twist(theta, l, mp) * cb)
+    return _normal(out)
+
+
+def exp_i_dict(theta, h, t=1.0, series_eps=1e-15, max_order=60):
+    """(coefficients, tail) of exp(i t h) by the pruned power series."""
+    acc, term, tail, acc_tail = {(0, 0): 1.0 + 0.0j}, {(0, 0): 1.0 + 0.0j}, 0.0, 0.0
+    ith = scale_dict(1j * t, h)
+    for k in range(1, max_order + 1):
+        term, dropped = prune_dict(scale_dict(1.0 / k, mul_dict(theta, term, ith)), 1e-17)
+        tail = tail + dropped
+        acc = add_dict(acc, term)
+        acc_tail = acc_tail + tail
+        if norms_dict(term)[0] <= series_eps * max(1.0, norms_dict(acc)[0]):
+            kept, dropped = prune_dict(acc, 1e-17)
+            return kept, acc_tail + dropped
+    raise ArithmeticError("exp_i_dict: series not converged")

@@ -1,7 +1,10 @@
 """Coefficient arithmetic: operation contracts, algebra axioms, oracle agreement."""
 
 import cmath
+import copy
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from nctorus import algebra
 from nctorus.algebra import (
+    DEFAULT_TOL,
+    MAX_BOX_CELLS,
     CompositionError,
     ConvergenceError,
     Tolerance,
@@ -29,6 +34,7 @@ from nctorus.algebra import (
     prune,
     random_element,
     random_selfadjoint,
+    scale,
     sub,
     to_json,
     trace,
@@ -36,12 +42,25 @@ from nctorus.algebra import (
     truncate,
     zero,
 )
+from nctorus.symmetry import ad
 from oracles import (
+    ad_dict,
+    add_dict,
+    adjoint_dict,
     clock_shift,
+    delta_dict,
+    exp_i_dict,
+    is_scalar_dict,
+    laplacian_dict,
     matrix_rep,
     matrix_trace,
+    norms_dict,
     oracle_monomial_adjoint,
     oracle_monomial_product,
+    prune_dict,
+    scale_dict,
+    sub_dict,
+    truncate_dict,
 )
 
 THETA = 0.2
@@ -227,6 +246,9 @@ def test_trace_product_examples():
         3j * cmath.exp(2j * math.pi * THETA * 2))
     with pytest.raises(CompositionError):
         trace_product(one(0.2), one(0.3))
+    # the only term has real part -0.0; the sum starts at +0.0, as in mul
+    b = monomial(THETA, 0, 0, complex(-0.0, 1.0))
+    assert repr(trace_product(one(THETA), b)) == repr(trace(mul_reference(one(THETA), b))) == "1j"
 
 
 # ------------------------------------------------------------------ involution
@@ -452,3 +474,134 @@ def test_product_trace_matches_matrices_when_sumset_avoids_lattice():
         lhs = trace(mul(a, b))
         rhs = matrix_trace(matrix_rep(a, q) @ matrix_rep(b, q))
         assert abs(lhs - rhs) < 1e-12
+
+
+# ------------------------------------------------ array form against dict oracles
+
+
+def _bits(items):
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in items]
+
+
+def _same(el, coeffs):
+    """el holds exactly coeffs: the same keys, in ascending order, with the
+    same value bits (sign of zero included)."""
+    return _bits(el.coeffs.items()) == _bits(sorted(coeffs.items()))
+
+
+def _tricky_pair(theta, s):
+    """Two overlapping elements whose coefficients have moduli over 40
+    decades, a signed zero in one part, and exact cancellations between
+    the two."""
+    rng = np.random.default_rng(s)
+
+    def coeffs(cells):
+        out = {}
+        for k in cells:
+            re, im = rng.standard_normal(2) * 10.0 ** rng.integers(-30, 10, size=2)
+            kind = rng.integers(5)
+            if kind == 0:
+                re = -0.0
+            elif kind == 1:
+                im = -0.0
+            elif kind == 2:
+                re = 0.0
+            out[k] = complex(re, im)
+        return out
+
+    cells = list(dict.fromkeys((int(m), int(n)) for m, n in rng.integers(-4, 5, size=(14, 2))))
+    a = coeffs(cells[:9])
+    b = coeffs(cells[5:])
+    for k in cells[5:7]:
+        b[k] = -a[k]
+    return TorusElement(theta, a), TorusElement(theta, b)
+
+
+@seed(31)
+@settings(max_examples=60, deadline=None, database=None)
+@given(theta=THETA_RANGE, s=st.integers(0, 10**6))
+def test_coefficientwise_ops_match_the_dict_oracles(theta, s):
+    """Each array expression against the loop it replaced, on dicts read in
+    row-major order: equal keys, key order and value bits, and equal sums
+    (norms, dropped mass), which both add in that same order."""
+    a, b = _tricky_pair(theta, s)
+    da, db = dict(a.coeffs), dict(b.coeffs)
+    assert _same(add(a, b), add_dict(da, db)) and _same(add(b, a), add_dict(db, da))
+    assert _same(sub(a, b), sub_dict(da, db)) and _same(sub(b, a), sub_dict(db, da))
+    for c in (2.5, -1.0, 3, 1j, 0.3 - 0.7j, 0):
+        assert _same(scale(c, a), scale_dict(c, da))
+    assert _same(adjoint(a), adjoint_dict(theta, da))
+    for j in (1, 2):
+        assert _same(delta(j, a), delta_dict(j, da))
+    assert _same(laplacian(a), laplacian_dict(da))
+    assert norms(a) == norms_dict(da)
+    assert is_scalar(a) == is_scalar_dict(da, DEFAULT_TOL.algebraic_eps)
+    for box in (0, 1, 3, 5):
+        kept, dropped = truncate_dict(da, box)
+        t = truncate(a, box)
+        assert _same(t, kept) and t.tail_l1 == dropped
+    for rel in (1e-25, 1e-16, 1e-3):
+        kept, dropped = prune_dict(da, rel)
+        p = prune(a, rel)
+        assert _same(p, kept) and p.tail_l1 == dropped
+    for w in [(0, 0), (1, 0), (0, 1), (2, -3)]:
+        assert _same(ad(w, a), ad_dict(theta, w, da))
+
+
+@seed(37)
+@settings(max_examples=10, deadline=None, database=None)
+@given(theta=THETA_RANGE, s=st.integers(0, 10**6), t=st.floats(0.05, 0.8))
+def test_exp_i_matches_the_dict_series(theta, s, t):
+    h = random_selfadjoint(theta, 1, s)
+    w = exp_i(h, t)
+    coeffs, tail = exp_i_dict(theta, dict(h.coeffs), t)
+    assert _same(w, coeffs)
+    # The dropped mass is added in row-major order here and in the dicts'
+    # insertion order in the oracle: the two sums of the same n < 4096
+    # nonnegative terms differ by at most 2 n eps relative.
+    assert abs(w.tail_l1 - tail) <= 2 * 4096 * np.finfo(float).eps * tail
+
+
+def test_coeffs_is_a_read_only_row_major_view():
+    e = TorusElement(THETA, {(2, -1): 1.0, (-1, 3): 2j, (0, 0): 0.5, (2, -3): -1.0})
+    assert list(e.coeffs) == [(-1, 3), (0, 0), (2, -3), (2, -1)]
+    assert len(e.coeffs) == 4 and (0, 0) in e.coeffs and (1, 1) not in e.coeffs
+    assert e.coeffs == {(2, -1): 1, (-1, 3): 2j, (0, 0): 0.5, (2, -3): -1}
+    assert e.coeffs.get((1, 1), 7) == 7
+    with pytest.raises(TypeError):
+        e.coeffs[(0, 0)] = 3.0
+    with pytest.raises(ValueError):
+        e.box[0, 0] = 3.0
+    with pytest.raises(AttributeError):
+        e.theta = 0.3
+    assert trace(e) == 0.5
+    for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert _bits(twin.coeffs.items()) == _bits(e.coeffs.items())
+
+
+def test_box_is_cropped_to_the_support():
+    a = TorusElement(THETA, {(-3, 2): 1e-20, (0, 0): 1.0, (1, -1): 0.5, (2, 4): 1e-19})
+    assert (a.offset, a.box.shape) == ((-3, -1), (6, 6))
+    p = prune(a, 1e-16)
+    assert (p.offset, p.box.shape) == ((0, -1), (2, 2))
+    assert p.support() == [(0, 0), (1, -1)]
+    assert (p.box[0, 0], p.box[1, 1]) == (0, 0)
+    # a cancellation on the rim shrinks the box as well
+    s = sub(p, monomial(THETA, 1, -1, 0.5))
+    assert (s.offset, s.box.shape) == ((0, 0), (1, 1))
+
+
+def test_bounding_box_limit_rejects_outside_input():
+    side = int(math.isqrt(MAX_BOX_CELLS)) + 1
+    text = json.dumps({"theta": THETA, "coeffs": [[0, 0, 1.0, 0.0], [side, side, 1.0, 0.0]]})
+    with pytest.raises(ValueError, match="exceeds"):
+        from_json(text)
+    with pytest.raises(ValueError):
+        TorusElement(THETA, {(0, 0): 1.0, (2**40, -(2**40)): 1.0})
+    with pytest.raises(ValueError):
+        TorusElement(THETA, {(2**70, 0): 1.0})
+    # a product whose box would pass the limit fails before allocating it
+    row = TorusElement(THETA, {(0, 50 * k): 1.0 for k in range(side // 50 + 2)})
+    col = TorusElement(THETA, {(50 * k, 0): 1.0 for k in range(side // 50 + 2)})
+    with pytest.raises(ValueError, match="exceeds"):
+        mul(row, col)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import nctorus.algebra as algebra
+import nctorus.heisenberg as hb
 import nctorus.symmetry as symmetry
 from nctorus.cli import (
     EXIT_INVARIANT,
@@ -174,9 +175,8 @@ def test_models_endo_at_rational_theta_solves_every_pair(capsys, matrix):
     assert data["residuals"]["max_abs_pairing"] < 1e-10
 
 
-def test_instanton_makes_27_products(monkeypatch, capsys):
-    """Products made by `nctorus instanton`, counted wherever mul is bound:
-    ising_energy and the Chern numbers read tau(ab) without forming ab."""
+def _count_products(monkeypatch, capsys, *argv):
+    """Exit code and the products the command makes, counted wherever mul is bound."""
     calls = []
     original = algebra.mul
 
@@ -187,9 +187,36 @@ def test_instanton_makes_27_products(monkeypatch, capsys):
     bound = [m for name, m in sys.modules.items()
              if name.startswith("nctorus") and getattr(m, "mul", None) is original]
     assert {m.__name__ for m in bound} >= {"nctorus.algebra", "nctorus.models", "nctorus.cli",
-                                           "nctorus.heisenberg", "nctorus.symmetry"}
+                                           "nctorus.heisenberg", "nctorus.symmetry",
+                                           "nctorus.suites"}
     for module in bound:
         monkeypatch.setattr(module, "mul", counted)
-    code, _ = run_cli(capsys, "instanton")
+    code, _ = run_cli(capsys, *argv)
+    return code, calls
+
+
+def test_instanton_makes_27_products(monkeypatch, capsys):
+    """ising_energy and the Chern numbers read tau(ab) without forming ab."""
+    code, calls = _count_products(monkeypatch, capsys, "instanton")
     assert code == EXIT_OK
     assert len(calls) == 27, calls
+
+
+def test_verify_symmetry_makes_53_products(monkeypatch, capsys):
+    """The symmetry suite evaluates the projection's four functionals once,
+    not once per lattice point."""
+    code, calls = _count_products(monkeypatch, capsys, "verify", "--suite", "symmetry")
+    assert code == EXIT_OK
+    assert len(calls) == 53, calls
+
+
+def test_box_cap_gives_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(hb, "BOX_CAP", 1)
+    code, out = run_cli(capsys, "instanton")
+    assert code == EXIT_NUMERICAL
+    data = json.loads(out)
+    assert data["inputs"]["error_kind"] == "convergence_failure"
+    assert "cap 1 " in data["residuals"]["error"]
+    code, out = run_cli(capsys, "sweep", "--param", "theta", "--values", "0.2")
+    assert code == EXIT_NUMERICAL
+    assert "cap 1 " in json.loads(out)["convergence"][0]["error"]

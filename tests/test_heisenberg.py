@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
+from nctorus import heisenberg as hb
 from nctorus.algebra import (
     CompositionError,
+    ConvergenceError,
     Tolerance,
     add,
     adjoint,
@@ -259,6 +261,18 @@ def test_inner_b_module_axiom(theta):
     lhs = inner_B(xi, act_right(xi, b), TOL)
     rhs = mul(inner_B(xi, xi, TOL), b)
     assert l1_norm(sub(lhs, rhs)) < TOL.quadrature_eps
+
+
+def test_inner_product_box_cap_is_loud(monkeypatch):
+    # at theta = 0.2 a width-1 Gaussian needs inner_A's box past 16
+    xi = gaussian_vector(0.2, width=1.0)
+    assert inner_A(xi, xi).box.shape[0] > 33
+    monkeypatch.setattr(hb, "BOX_CAP", 16)
+    with pytest.raises(ConvergenceError, match="cap 16"):
+        inner_A(xi, xi)
+    monkeypatch.setattr(hb, "BOX_CAP", 1)
+    with pytest.raises(ConvergenceError, match="cap 1 "):
+        inner_B(xi, xi)
 
 
 def test_inner_b_positive_selfadjoint():

@@ -58,6 +58,7 @@ from oracles import (
     ENDO_MATS,
     SU2_MATS,
     chern_number_by_products,
+    chiral_gradient_by_products,
     chiral_variation_pairing_by_products,
     current_divergence_pairing_by_products,
     ising_energy_by_products,
@@ -468,6 +469,17 @@ def _trace_functional_cases(theta, s):
 def test_trace_functionals_match_their_product_formulas(theta, s):
     for name, value, oracle, scale_ in _trace_functional_cases(theta, s):
         assert _agree(value, oracle, scale_), (name, value, oracle)
+
+
+@seed(41)
+@settings(max_examples=15, deadline=None, database=None)
+@given(theta=st.floats(0.05, 0.95), s=st.integers(0, 10**6))
+def test_chiral_gradient_matches_its_two_product_formula(theta, s):
+    W = add(monomial(theta, 1, -1), scale(0.3, random_selfadjoint(theta, 2, s)))
+    g = models._chiral_gradient(W)
+    diff = l1_norm(sub(g, chiral_gradient_by_products(W)))
+    assert diff <= 1e-12 * max(1.0, 2 * l1_norm(W) * l1_norm(laplacian(W)))
+    assert l1_norm(sub(g, adjoint(g))) <= 1e-12 * max(1.0, l1_norm(g))
 
 
 def test_projection_trace_functionals_match_their_product_formulas():
