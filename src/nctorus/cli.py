@@ -2,7 +2,7 @@
 and deterministic report emission.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 numerical
-failure (inversion or convergence).
+failure (inversion, convergence, or an empty projection).
 
 Sweep CSV columns (one row per parameter value): the swept parameter, then
 tail_l1, idempotency_defect, trace, chern, plus an error column for rows
@@ -13,6 +13,7 @@ idempotency_defect, trace, chern.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import typing
 from dataclasses import dataclass, fields, replace
@@ -121,18 +122,41 @@ def _projection_row(p) -> dict:
     }
 
 
+class EmptyProjectionError(ArithmeticError):
+    """The pipeline ran but kept no coefficient of the projection."""
+
+
+# What a failed instanton build raises; each is a numerical failure, exit 3.
+_BUILD_ERRORS = (hb.NotInvertibleError, ConvergenceError, EmptyProjectionError, ValueError)
+
+
+def _build_instanton(config: RunConfig, tol: Tolerance) -> hb.InstantonRun:
+    """build_instanton at config, raising EmptyProjectionError for an empty
+    projection or a non-finite truncation tail (a NaN or infinite entry of
+    the overlap matrix keeps no coefficient)."""
+    run = hb.build_instanton(config.theta, config.lam, tol, box=config.trunc_box,
+                             L=config.grid_l, points=config.grid_points)
+    if not run.projection.coeffs or not math.isfinite(run.tail_l1):
+        raise EmptyProjectionError(f"empty projection (tail_l1={run.tail_l1!r})")
+    return run
+
+
+def _error_kind(exc: Exception) -> str:
+    if isinstance(exc, EmptyProjectionError):
+        return "empty_projection"
+    return "convergence_failure" if isinstance(exc, ConvergenceError) else "inversion_failure"
+
+
 def cmd_instanton(config: RunConfig) -> tuple[ModelReport, int]:
     tol = config.tolerance()
     try:
-        run = hb.build_instanton(config.theta, config.lam, tol, box=config.trunc_box,
-                                 L=config.grid_l, points=config.grid_points)
-    except (hb.NotInvertibleError, ConvergenceError, ValueError) as exc:
+        run = _build_instanton(config, tol)
+    except _BUILD_ERRORS as exc:
         report = ModelReport(model="instanton", theta=config.theta,
                              inputs=_config_dict(config),
                              residuals={"error": str(exc)},
                              tolerances=tolerance_dict(tol))
-        report.inputs["error_kind"] = ("convergence_failure" if isinstance(exc, ConvergenceError)
-                                       else "inversion_failure")
+        report.inputs["error_kind"] = _error_kind(exc)
         return report, EXIT_NUMERICAL
 
     p = run.projection
@@ -141,7 +165,8 @@ def cmd_instanton(config: RunConfig) -> tuple[ModelReport, int]:
                    for box in sorted({8, 16, 24, 32, config.trunc_box})
                    if box <= config.trunc_box]
     full = convergence[-1]
-    W = md.harmonic_from_projection(p)
+    chiral_energy_w, chiral_residual_w = md.chiral_energy_and_residual(
+        md.harmonic_from_projection(p))
     report = ModelReport(
         model="instanton",
         theta=config.theta,
@@ -154,8 +179,8 @@ def cmd_instanton(config: RunConfig) -> tuple[ModelReport, int]:
             "self_duality_residual": md.self_duality_residual(p),
             "inversion_residual": run.inversion_residual,
             "trace": full["trace"],
-            "chiral_energy_w": md.chiral_energy(W),
-            "chiral_residual_w": md.chiral_residual(W),
+            "chiral_energy_w": chiral_energy_w,
+            "chiral_residual_w": chiral_residual_w,
             "inversion_iterations": run.inversion_iterations,
             "tail_l1": run.tail_l1,
         },
@@ -191,12 +216,10 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float]) -> tuple[Model
         row = {param: value}
         try:
             cfg.validate()
-            run = hb.build_instanton(cfg.theta, cfg.lam, tol, box=cfg.trunc_box,
-                                     L=cfg.grid_l, points=cfg.grid_points)
-            p = run.projection
+            p = _build_instanton(cfg, tol).projection
             row.update(_projection_row(p))
             row.update({"energy": md.ising_energy(p), "error": ""})
-        except (hb.NotInvertibleError, ConvergenceError, ValueError) as exc:
+        except _BUILD_ERRORS as exc:
             row.update({"error": str(exc)})
             worst = EXIT_NUMERICAL
         rows.append(row)
@@ -258,11 +281,12 @@ def cmd_models(config: RunConfig, model: str, matrix: tuple[int, int, int, int] 
         W = monomial(theta, m, n)
         orbit_ok = all(sym.projective_equal(W, sym.ad(w, W), tol)
                        for w in [(1, 0), (0, 1), (1, -1)])
+        energy, residual = md.chiral_energy_and_residual(W)
         report = ModelReport(
             model="chiral", theta=theta,
             inputs={**_config_dict(config), "m": m, "n": n},
-            energy=md.chiral_energy(W),
-            residuals={"el_residual": md.chiral_residual(W),
+            energy=energy,
+            residuals={"el_residual": residual,
                        "ad_orbit_in_gauge_orbit": bool(orbit_ok)},
             tolerances=tolerance_dict(tol),
         )

@@ -119,6 +119,33 @@ def evaluate(xi: SchwartzVector, t: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
+# exp(x) is exactly 0.0 below x = -745.13...; this bound leaves a margin.
+_EXP_UNDERFLOW = -760.0
+
+
+def _live_cells(g: Gaussian, t: np.ndarray) -> slice:
+    """Cells of the increasing uniform grid t outside which g evaluates to
+    exact zeros.
+
+    There the real part of the exponent, -pi w t^2 + 2 Im(lambda) t, is
+    below _EXP_UNDERFLOW, so exp gives 0 and a finite C keeps it 0.  All
+    cells when C or lambda is not finite, where C * 0 need not be 0.
+    """
+    if not (np.isfinite(g.C) and np.isfinite(g.lam) and len(t) > 1 and t[-1] > t[0]):
+        return slice(None)
+    a, b = np.pi * g.theta, 2.0 * g.lam.imag
+    root = math.sqrt(b * b - 4.0 * a * _EXP_UNDERFLOW)
+    h = float(t[-1] - t[0]) / (len(t) - 1)
+    # the roots of the exponent's real part minus the bound, in cells from t[0]
+    lo = ((b - root) / (2.0 * a) - t[0]) / h
+    hi = ((b + root) / (2.0 * a) - t[0]) / h
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return slice(None)
+    # one spare cell each side covers the rounding of the grid
+    first = max(0, math.floor(lo) - 1)
+    return slice(first, max(first, math.ceil(hi) + 2))
+
+
 def as_sampled(xi: SchwartzVector, L: float = GRID_L, points: int = GRID_POINTS) -> SchwartzVector:
     if isinstance(xi.kind, Sampled):
         return xi
@@ -181,8 +208,10 @@ def _act(a: TorusElement, xi: SchwartzVector, right: bool,
     out = np.zeros(points, dtype=complex)
     for s, f, c in terms:
         if isinstance(k, Gaussian):
+            # out starts at +0, so skipping exact zeros keeps every bit
             g = _monomial_act_gaussian(k, s, f, c, not right)
-            out += evaluate(SchwartzVector(theta, g), t)
+            live = _live_cells(g, t)
+            out[live] += evaluate(SchwartzVector(theta, g), t[live])
         else:
             x = t if right else t + s
             out += c * np.exp(2j * np.pi * f * x) * _shift_values(k.values, s / h)
@@ -236,10 +265,12 @@ def _overlap_matrix(first: SchwartzVector, second: SchwartzVector,
     t = np.linspace(-L, L, points)
     h = 2.0 * L / (points - 1)
     fvals = evaluate(first, t)
-    rows = np.empty((len(shifts), points), dtype=complex)
+    rows = np.zeros((len(shifts), points), dtype=complex)
     for i, sh in enumerate(shifts):
         if isinstance(s, Gaussian):
-            rows[i] = np.conj(evaluate(second, t + sh))
+            x = t + sh
+            live = _live_cells(s, x)
+            rows[i, live] = np.conj(evaluate(second, x[live]))
         else:
             rows[i] = np.conj(_shift_values(s.values, sh / h))
     weighted = rows * (fvals * _trapezoid_weights(points, h))[None, :]
@@ -411,6 +442,7 @@ class InstantonRun:
     inversion_residual: float
     inversion_iterations: int
     inversion_seed: str  # Newton-Schulz start that converged: "trace" or "l1"
+    right_image: SchwartzVector  # xi . b^{-1}, on the grid
     projection: TorusElement
     trunc_box: int
     tail_l1: float
@@ -439,8 +471,14 @@ def build_instanton(theta: float, lam: complex = 0.0, tol: Tolerance = DEFAULT_T
     return InstantonRun(theta=theta, lam=complex(lam), vector=xi, gram=gram,
                         gram_inverse=ginv, inversion_residual=res,
                         inversion_iterations=its, inversion_seed=seed,
-                        projection=p, trunc_box=box,
+                        right_image=x1, projection=p, trunc_box=box,
                         tail_l1=p.tail_l1, tail_converged=converged)
+
+
+def reproject(run: InstantonRun, tol: Tolerance, box: int) -> TorusElement:
+    """run's projection on [-box, box]^2 instead of its own box: one inner_A
+    on the kept xi . b^{-1}, the same bits as build_instanton at that box."""
+    return inner_A(run.right_image, run.vector, tol, box=box)
 
 
 def instanton(theta: float, lam: complex = 0.0, tol: Tolerance = DEFAULT_TOL,

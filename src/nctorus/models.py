@@ -76,13 +76,14 @@ def ising_el_residual(p: TorusElement) -> float:
 
 
 def chern_number(p: TorusElement) -> float:
-    """(1 / 2 pi i) tau(p [delta_1(p) delta_2(p) - delta_2(p) delta_1(p)]).
+    """(1 / 2 pi i) tau(p [delta_1(p) delta_2(p) - delta_2(p) delta_1(p)]),
+    integer-valued on projections.
 
-    Real part of the invariant; integer-valued on projections.
+    Needs self-adjoint p: then delta_j(p)* = delta_j(p) and cyclicity make
+    tau(p delta_2(p) delta_1(p)) the conjugate of X = tau(p delta_1(p)
+    delta_2(p)), so the invariant is Im(X) / pi and takes one product.
     """
-    d1, d2 = delta(1, p), delta(2, p)
-    comm = sub(mul(d1, d2), mul(d2, d1))
-    return (trace_product(p, comm) / (2j * math.pi)).real
+    return trace_product(p, mul(delta(1, p), delta(2, p))).imag / math.pi
 
 
 def duality_residuals(p: TorusElement) -> tuple[float, float]:
@@ -109,31 +110,45 @@ def self_duality_residual(p: TorusElement) -> float:
 # --------------------------------------------------------------- chiral model
 
 
+def _chiral_energy_and_field(W: TorusElement, field: bool) -> tuple[float, TorusElement | None]:
+    """The energy tau(sum_j delta_j(W)* delta_j(W)) and, if field is set, the
+    field equation W* (Lap W) + sum_j delta_j(W)* delta_j(W), from one
+    product delta_j(W)* delta_j(W) per j, each dropped before the next."""
+    acc = mul(adjoint(W), laplacian(W)) if field else None
+    total = 0.0
+    for j in (1, 2):
+        dW = delta(j, W)
+        square = mul(adjoint(dW), dW)
+        total += trace(square).real
+        if field:
+            acc = add(acc, square)
+    return total, acc
+
+
 def chiral_energy(W: TorusElement) -> float:
     """tau(delta_1(W)* delta_1(W) + delta_2(W)* delta_2(W)).
 
     This is the full circle-model functional; the per-generator energy is
     half of it.
     """
-    total = 0.0
-    for j in (1, 2):
-        dW = delta(j, W)
-        total += trace(mul(adjoint(dW), dW)).real
-    return total
+    return _chiral_energy_and_field(W, field=False)[0]
 
 
 def chiral_field_equation(W: TorusElement) -> TorusElement:
     """W* (Lap W) + sum_j delta_j(W)* delta_j(W); zero on harmonic unitaries."""
-    acc = mul(adjoint(W), laplacian(W))
-    for j in (1, 2):
-        dW = delta(j, W)
-        acc = add(acc, mul(adjoint(dW), dW))
-    return acc
+    return _chiral_energy_and_field(W, field=True)[1]
 
 
 def chiral_residual(W: TorusElement) -> float:
     """gns norm of W* (Lap W) + sum_j delta_j(W)* delta_j(W)."""
     return gns_norm(chiral_field_equation(W))
+
+
+def chiral_energy_and_residual(W: TorusElement) -> tuple[float, float]:
+    """(chiral_energy(W), chiral_residual(W)), bit for bit, from the one set
+    of products delta_j(W)* delta_j(W) that both read."""
+    energy, field = _chiral_energy_and_field(W, field=True)
+    return energy, gns_norm(field)
 
 
 def harmonic_from_projection(p: TorusElement) -> TorusElement:

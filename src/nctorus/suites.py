@@ -58,6 +58,30 @@ def _row(suite: str, name: str, defect: float, tolerance: float) -> CheckRow:
     return CheckRow(suite, name, float(defect), float(tolerance), bool(defect <= tolerance))
 
 
+class Instantons:
+    """Gaussian projections at (theta, lambda = 0) for one verify run.
+
+    The gram element, its Newton-Schulz inverse and xi . b^{-1} are built
+    once, on the first request, and each box's projection once; every later
+    box costs one inner_A.  run_suites makes one per call, so nothing
+    outlives a command.
+    """
+
+    def __init__(self, theta: float, tol: Tolerance):
+        self.theta, self.tol = theta, tol
+        self._run: hb.InstantonRun | None = None
+        self._by_box: dict[int, TorusElement] = {}
+
+    def projection(self, box: int) -> TorusElement:
+        if box not in self._by_box:
+            if self._run is None:
+                self._run = hb.build_instanton(self.theta, 0.0, self.tol, box=box)
+                self._by_box[box] = self._run.projection
+            else:
+                self._by_box[box] = hb.reproject(self._run, self.tol, box)
+        return self._by_box[box]
+
+
 # ------------------------------------------------------------- algebra oracle
 
 
@@ -73,7 +97,8 @@ def clock_shift_rep(a: TorusElement, q: int) -> np.ndarray:
     return rep
 
 
-def algebra_suite(theta: float, tol: Tolerance, seed: int) -> list[CheckRow]:
+def algebra_suite(theta: float, tol: Tolerance, seed: int,
+                  instantons: Instantons) -> list[CheckRow]:
     rows = []
     worst = {"assoc": 0.0, "invol": 0.0, "tracial": 0.0, "leibniz": 0.0, "dtrace": 0.0}
     for k in range(6):
@@ -115,7 +140,8 @@ def algebra_suite(theta: float, tol: Tolerance, seed: int) -> list[CheckRow]:
     return rows
 
 
-def module_suite(theta: float, tol: Tolerance, seed: int) -> list[CheckRow]:
+def module_suite(theta: float, tol: Tolerance, seed: int,
+                 instantons: Instantons) -> list[CheckRow]:
     rows = []
     rng = np.random.default_rng(seed)
     grid = dict(L=15.0, points=1201)
@@ -149,22 +175,22 @@ def module_suite(theta: float, tol: Tolerance, seed: int) -> list[CheckRow]:
     rows.append(_row("module", "associativity_bridge", bridge, tol.quadrature_eps))
     rows.append(_row("module", "trace_rescaling", tr_rel, tol.quadrature_eps))
 
-    run = hb.build_instanton(theta, 0.0, tol, box=20)
-    sa, idem = md.projection_defect(run.projection)
+    sa, idem = md.projection_defect(instantons.projection(20))
     rows.append(_row("module", "instanton_selfadjoint", sa, tol.algebraic_eps))
     rows.append(_row("module", "instanton_idempotent", idem, 10 * tol.truncation_eps))
     tails = []
     for box in (4, 6, 8):
-        p = hb.instanton(theta, 0.0, tol, box=box)
+        p = instantons.projection(box)
         tails.append(gns_norm(sub(mul(p, p), p)))
     halving = max(tails[i + 1] / tails[i] for i in range(len(tails) - 1))
     rows.append(_row("module", "tail_halves_with_box", halving, 0.5))
     return rows
 
 
-def models_suite(theta: float, tol: Tolerance, seed: int) -> list[CheckRow]:
+def models_suite(theta: float, tol: Tolerance, seed: int,
+                 instantons: Instantons) -> list[CheckRow]:
     rows = []
-    p = prune(hb.instanton(theta, 0.0, tol, box=16), 1e-16)
+    p = prune(instantons.projection(16), 1e-16)
     e, c1 = md.ising_energy(p), md.chern_number(p)
     rows.append(_row("models", "energy_chern_bound", max(0.0, -(e + 2 * math.pi * c1)),
                      1e-3))
@@ -210,7 +236,8 @@ def models_suite(theta: float, tol: Tolerance, seed: int) -> list[CheckRow]:
     return rows
 
 
-def symmetry_suite(theta: float, tol: Tolerance, seed: int) -> list[CheckRow]:
+def symmetry_suite(theta: float, tol: Tolerance, seed: int,
+                   instantons: Instantons) -> list[CheckRow]:
     rows = []
     rng = np.random.default_rng(seed)
     oracle = group = tr_pres = 0.0
@@ -226,7 +253,7 @@ def symmetry_suite(theta: float, tol: Tolerance, seed: int) -> list[CheckRow]:
     rows.append(_row("symmetry", "group_action_law", group, 1e-12))
     rows.append(_row("symmetry", "trace_preserved", tr_pres, 1e-15))
 
-    p = prune(hb.instanton(theta, 0.0, tol, box=16), 1e-16)
+    p = prune(instantons.projection(16), 1e-16)
 
     def functionals(x):
         return (md.ising_el_residual(x), md.ising_energy(x), md.chern_number(x),
@@ -258,7 +285,8 @@ SUITES = {
 
 def run_suites(which: str, theta: float, tol: Tolerance, seed: int) -> list[CheckRow]:
     names = list(SUITES) if which == "all" else [which]
+    instantons = Instantons(theta, tol)
     rows: list[CheckRow] = []
     for name in names:
-        rows.extend(SUITES[name](theta, tol, seed))
+        rows.extend(SUITES[name](theta, tol, seed, instantons))
     return rows

@@ -7,6 +7,7 @@ import pytest
 
 import nctorus.algebra as algebra
 import nctorus.heisenberg as hb
+import nctorus.models as md
 import nctorus.symmetry as symmetry
 from nctorus.cli import (
     EXIT_INVARIANT,
@@ -195,19 +196,80 @@ def _count_products(monkeypatch, capsys, *argv):
     return code, calls
 
 
-def test_instanton_makes_27_products(monkeypatch, capsys):
-    """ising_energy and the Chern numbers read tau(ab) without forming ab."""
+def test_instanton_makes_21_products(monkeypatch, capsys):
+    """ising_energy reads tau(ab) without forming ab, each Chern number forms
+    one product, and the chiral energy and residual of W share theirs."""
     code, calls = _count_products(monkeypatch, capsys, "instanton")
     assert code == EXIT_OK
-    assert len(calls) == 27, calls
+    assert len(calls) == 21, calls
 
 
-def test_verify_symmetry_makes_53_products(monkeypatch, capsys):
+def test_verify_symmetry_makes_49_products(monkeypatch, capsys):
     """The symmetry suite evaluates the projection's four functionals once,
-    not once per lattice point."""
+    not once per lattice point, and each Chern number forms one product."""
     code, calls = _count_products(monkeypatch, capsys, "verify", "--suite", "symmetry")
     assert code == EXIT_OK
-    assert len(calls) == 53, calls
+    assert len(calls) == 49, calls
+
+
+def test_verify_all_builds_one_instanton_front_end(monkeypatch, capsys):
+    """Every projection of one verify run shares one gram element, inverse
+    and xi . b^{-1}: one inversion, and one inner_A per projection box."""
+    inversions, inner_A = [], []
+    invert, inner = hb.invert_positive_with_stats, hb.inner_A
+
+    def counted_invert(*args, **kwargs):
+        inversions.append(args[0])
+        return invert(*args, **kwargs)
+
+    def counted_inner(*args, **kwargs):
+        inner_A.append(kwargs.get("box"))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(hb, "invert_positive_with_stats", counted_invert)
+    monkeypatch.setattr(hb, "inner_A", counted_inner)
+    code, _ = run_cli(capsys, "verify", "--suite", "all")
+    assert code == EXIT_OK
+    assert len(inversions) == 1
+    assert sorted(box for box in inner_A if box is not None) == [4, 6, 8, 16, 20]
+
+
+def test_instanton_chiral_values_are_those_of_w(capsys):
+    code, out = run_cli(capsys, "--trunc", "12", "instanton")
+    assert code == EXIT_OK
+    W = md.harmonic_from_projection(hb.build_instanton(0.2, 0.0, RunConfig().tolerance(),
+                                                       box=12).projection)
+    r = json.loads(out)["residuals"]
+    assert r["chiral_energy_w"] == md.chiral_energy(W)
+    assert r["chiral_residual_w"] == md.chiral_residual(W)
+
+
+def test_models_chiral_values_are_those_of_the_monomial(capsys):
+    code, out = run_cli(capsys, "--theta", "0.6180339887498949",
+                        "models", "--model", "chiral", "--mn", "2,-1")
+    assert code == EXIT_OK
+    W = algebra.monomial(0.6180339887498949, 2, -1)
+    data = json.loads(out)
+    assert data["energy"] == md.chiral_energy(W)
+    assert data["residuals"]["el_residual"] == md.chiral_residual(W)
+
+
+def test_empty_projection_gives_exit_3(capsys):
+    # at theta = 0.5 the grid pipeline loses every coefficient today
+    code, out = run_cli(capsys, "--theta", "0.5", "--trunc", "8", "instanton")
+    assert code == EXIT_NUMERICAL
+    data = json.loads(out)
+    assert data["inputs"]["error_kind"] == "empty_projection"
+    assert "empty projection" in data["residuals"]["error"]
+    assert data["chern"] is None and data["energy"] is None
+
+    code, out = run_cli(capsys, "--trunc", "8", "sweep", "--param", "theta",
+                        "--values", "0.2,0.5")
+    assert code == EXIT_NUMERICAL
+    assert "NaN" not in out
+    good, empty = json.loads(out)["convergence"]
+    assert good["error"] == "" and abs(good["chern"] + 1.0) < 1e-4
+    assert "empty projection" in empty["error"] and "tail_l1" not in empty
 
 
 def test_box_cap_gives_exit_3(monkeypatch, capsys):

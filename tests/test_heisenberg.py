@@ -11,6 +11,7 @@ from nctorus.algebra import (
     CompositionError,
     ConvergenceError,
     Tolerance,
+    TorusElement,
     add,
     adjoint,
     gns_norm,
@@ -42,7 +43,7 @@ from nctorus.heisenberg import (
     vector_from_json,
     vector_to_json,
 )
-from nctorus.heisenberg import _to_element
+from nctorus.heisenberg import _monomial_act_gaussian, _overlap_matrix, _to_element
 
 TOL = Tolerance()
 THETAS = [0.15, 0.2, 0.3]
@@ -341,6 +342,67 @@ def test_divergence_reported_as_not_invertible():
     b = monomial(td, 0, 0, 0.1) + monomial(td, 1, 0, 0.5) + monomial(td, -1, 0, 0.5)
     with pytest.raises(NotInvertibleError):
         invert_positive(b, TOL, max_iter=40)
+
+
+# ------------------------------------------- Gaussians on the grid: live cells
+
+
+def _act_on_full_grid(a, xi, right, L, points):
+    """_act's Gaussian-on-grid loop, evaluating every term on every cell."""
+    theta = xi.theta
+    t = np.linspace(-L, L, points)
+    out = np.zeros(points, dtype=complex)
+    for (m, n), c in sorted(a.coeffs.items()):
+        s, f = (float(m), n / theta) if right else (m * theta, n)
+        g = _monomial_act_gaussian(xi.kind, s, f, c, not right)
+        out += evaluate(SchwartzVector(theta, g), t)
+    return out
+
+
+def _overlap_on_full_grid(first, second, shifts, freqs):
+    """_overlap_matrix's grid path for a Gaussian second vector, evaluating
+    every row on every cell."""
+    L, points = first.kind.L, len(first.kind.values)
+    t = np.linspace(-L, L, points)
+    h = 2.0 * L / (points - 1)
+    rows = np.array([np.conj(evaluate(second, t + sh)) for sh in shifts])
+    w = np.full(points, h)
+    w[0] = w[-1] = h / 2.0
+    return (rows * (evaluate(first, t) * w)[None, :]) @ np.exp(1j * np.outer(t, freqs))
+
+
+@seed(43)
+@settings(max_examples=25, deadline=None, database=None)
+@given(theta=st.floats(0.05, 0.95), s=st.integers(0, 10**6), right=st.booleans(),
+       lam_im=st.floats(-3.0, 3.0), spread=st.sampled_from([2, 12, 40]))
+def test_gaussian_grid_evaluation_skips_only_exact_zeros(theta, s, right, lam_im, spread):
+    """Skipping the cells where a Gaussian underflows changes no bit.  The
+    instanton's width 1/theta and translations up to 40 reach the regime of
+    theta >= 0.35, where a term's C underflows to 0 while its exp overflows."""
+    L, points = 20.0, 801
+    xi = gaussian_vector(theta, lam=complex(0.3, lam_im), C=1.3 - 0.4j, width=1.0 / theta)
+    rng = np.random.default_rng(s)
+    coeffs = {(int(rng.integers(-spread, spread + 1)), int(rng.integers(-3, 4))):
+              complex(*rng.normal(size=2)) for _ in range(6)}
+    a = TorusElement(dual_theta(theta) if right else theta, coeffs)
+    got = hb._act(a, xi, right, L, points).kind.values
+    want = _act_on_full_grid(a, xi, right, L, points)
+    assert got.tobytes() == want.tobytes()
+
+    # rows of xi against a finite sampled vector; + 0 only merges signed zeros
+    first = as_sampled(gaussian_vector(theta, lam=0.2, width=1.0), L=L, points=points)
+    shifts = theta * np.arange(-8.0, 9.0) if not right else np.arange(-8.0, 9.0)
+    freqs = -2.0 * np.pi * np.arange(-4.0, 5.0)
+    got = _overlap_matrix(first, xi, shifts, freqs)
+    want = _overlap_on_full_grid(first, xi, shifts, freqs)
+    assert (got + 0).tobytes() == (want + 0).tobytes()
+
+
+def test_live_cells_fall_back_to_the_full_grid_on_non_finite_input():
+    t = np.linspace(-20.0, 20.0, 401)
+    assert hb._live_cells(Gaussian(1.0 + 0j, 2.0, 0j), t) != slice(None)
+    for C, lam in [(math.inf, 0j), (complex(math.nan, 0.0), 0j), (1.0, complex(0.0, math.inf))]:
+        assert hb._live_cells(Gaussian(complex(C), 2.0, lam), t) == slice(None)
 
 
 # ------------------------------------------------------------------- instanton

@@ -24,6 +24,7 @@ from nctorus.algebra import (
 )
 from nctorus import models
 from nctorus.heisenberg import instanton
+from nctorus.symmetry import ad
 from nctorus.models import (
     ConstraintError,
     ConstraintPair,
@@ -487,6 +488,16 @@ def test_projection_trace_functionals_match_their_product_formulas():
     assert _agree(ising_energy(p), ising_energy_by_products(p), 4 * PI)
     assert _agree(chern_number(p), chern_number_by_products(p), 1.0)
     assert chern_number(p) == pytest.approx(-1.0, abs=1e-3)
+
+
+def test_one_product_chern_number_matches_the_commutator_on_conjugates():
+    # tau(p d2 d1) = conj(tau(p d1 d2)) needs p self-adjoint, which ad keeps
+    p = instanton(THETA, 0.0, TOL, box=8)
+    for w in [(0, 0), (1, 0), (0, 1), (2, -1), (-3, 2)]:
+        q = ad(w, p)
+        scale_ = 2 * l1_norm(q) * l1_norm(delta(1, q)) * l1_norm(delta(2, q))
+        assert _agree(chern_number(q), chern_number_by_products(q), scale_), w
+        assert chern_number(q) == pytest.approx(-1.0, abs=1e-6)
 
 
 # ---------------------------------------------------------- variational checks
