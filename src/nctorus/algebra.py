@@ -24,9 +24,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
+from types import MappingProxyType
 
 import numpy as np
 
@@ -96,14 +97,14 @@ def _crop(offset: Index, box: np.ndarray) -> tuple[Index, np.ndarray, int]:
 
 def _fill(el, theta, offset, box, size, tail_l1) -> None:
     for name, value in (("theta", theta), ("offset", offset), ("box", box), ("_size", size),
-                        ("tail_l1", tail_l1), ("_listing", None)):
+                        ("tail_l1", tail_l1), ("_coeffs", None)):
         object.__setattr__(el, name, value)
 
 
 class TorusElement:
     """A finitely supported element of the rotation algebra at deformation theta.
 
-    coeffs is a read-only mapping from integer pairs (m, n) to the complex
+    coeffs is a read-only dict from integer pairs (m, n) to the complex
     coefficient of U^m V^n; offset and box are the stored form (see the
     module docstring).  tail_l1 accumulates the l1 mass dropped by
     truncation/pruning steps that produced this element; it is diagnostic
@@ -111,7 +112,7 @@ class TorusElement:
     identity.
     """
 
-    __slots__ = ("theta", "offset", "box", "tail_l1", "_size", "_listing")
+    __slots__ = ("theta", "offset", "box", "tail_l1", "_size", "_coeffs")
 
     def __init__(self, theta: float, coeffs: Mapping[Index, complex], tail_l1: float = 0.0):
         n = len(coeffs)
@@ -153,20 +154,19 @@ class TorusElement:
         return TorusElement.from_box, (self.theta, self.offset, self.box.copy(), self.tail_l1)
 
     @property
-    def coeffs(self) -> Coefficients:
-        return Coefficients(self)
-
-    def _items(self) -> tuple[list[Index], list[complex]]:
-        """Keys and values of the nonzero cells in row-major order (cached)."""
-        if self._listing is None:
+    def coeffs(self) -> Mapping[Index, complex]:
+        """Read-only dict of the nonzero cells, (m, n) -> complex, in row-major
+        (ascending (m, n)) order; built from the box on first access."""
+        if self._coeffs is None:
             rows, cols = np.nonzero(self.box)
             m0, n0 = self.offset
-            keys = list(zip((rows + m0).tolist(), (cols + n0).tolist()))
-            object.__setattr__(self, "_listing", (keys, self.box[rows, cols].tolist()))
-        return self._listing
+            keys = zip((rows + m0).tolist(), (cols + n0).tolist())
+            listing = dict(zip(keys, self.box[rows, cols].tolist()))
+            object.__setattr__(self, "_coeffs", MappingProxyType(listing))
+        return self._coeffs
 
     def support(self) -> list[Index]:
-        return list(self._items()[0])
+        return list(self.coeffs)
 
     def __add__(self, other):
         return add(self, other)
@@ -186,63 +186,9 @@ class TorusElement:
         return scale(-1.0, self)
 
     def __repr__(self):
-        keys, vals = self._items()
-        terms = ", ".join(f"({m},{n}): {c:.6g}" for (m, n), c in zip(keys[:8], vals))
+        terms = ", ".join(f"({m},{n}): {c:.6g}" for (m, n), c in islice(self.coeffs.items(), 8))
         more = "" if self._size <= 8 else f", ... ({self._size} terms)"
         return f"TorusElement(theta={self.theta}, {{{terms}{more}}})"
-
-
-class Coefficients(Mapping):
-    """Read-only view of an element's coefficients, (m, n) -> complex.
-
-    Iterates in row-major (ascending (m, n)) order; len is O(1); compares
-    equal to a dict with the same items.
-    """
-
-    __slots__ = ("_element",)
-
-    def __init__(self, element: TorusElement):
-        self._element = element
-
-    def __len__(self):
-        return self._element._size
-
-    def __iter__(self):
-        return iter(self._element._items()[0])
-
-    def __getitem__(self, key):
-        el = self._element
-        m, n = key
-        i, j = m - el.offset[0], n - el.offset[1]
-        h, w = el.box.shape
-        if 0 <= i < h and 0 <= j < w:
-            c = complex(el.box[i, j])
-            if c != 0:
-                return c
-        raise KeyError(key)
-
-    def items(self):
-        return _Items(self)
-
-    def values(self):
-        return _Values(self)
-
-    def __repr__(self):
-        return f"Coefficients({dict(self.items())!r})"
-
-
-class _Items(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return zip(*self._mapping._element._items())
-
-
-class _Values(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return iter(self._mapping._element._items()[1])
 
 
 def _with_tail(a: TorusElement, tail_l1: float) -> TorusElement:
@@ -298,32 +244,23 @@ def one(theta: float) -> TorusElement:
     return monomial(theta, 0, 0, 1.0)
 
 
-def _merge(offset: Index, box: np.ndarray, b: TorusElement, op) -> tuple[Index, np.ndarray]:
-    """op(cell, b's cell) at b's nonzero cells only, on box grown to cover b;
-    every other cell keeps its value and sign of zero.  A writable box that
-    already covers b is updated in place, otherwise a new array is returned."""
-    (bm, bn), (bh, bw) = b.offset, b.box.shape
-    (m0, n0), (h, w) = (offset, box.shape) if box.size else ((bm, bn), (0, 0))
-    top, left = min(m0, bm), min(n0, bn)
-    shape = (max(m0 + h, bm + bh) - top, max(n0 + w, bn + bw) - left)
-    if box.flags.writeable and (top, left) == (m0, n0) and shape == (h, w):
-        out = box
-    else:
-        _check_cells(shape)
-        out = np.zeros(shape, dtype=complex)
-        out[m0 - top:m0 - top + h, n0 - left:n0 - left + w] = box
-    region = out[bm - top:bm - top + bh, bn - left:bn - left + bw]
-    op(region, b.box, out=region, where=b.box != 0)
-    return (top, left), out
-
-
 def _add_or_sub(a: TorusElement, b: TorusElement, op) -> TorusElement:
+    """op(a's cell, b's cell) at b's nonzero cells only, on a's box grown to
+    cover b's; every other cell keeps its value and sign of zero."""
     _check_same_theta(a, b)
     tail = a.tail_l1 + b.tail_l1
     if not b._size:
         return _with_tail(a, tail)
-    offset, out = _merge(a.offset, a.box, b, op)
-    return TorusElement.from_box(a.theta, offset, out, tail)
+    (bm, bn), (bh, bw) = b.offset, b.box.shape
+    (m0, n0), (h, w) = (a.offset, a.box.shape) if a._size else ((bm, bn), (0, 0))
+    top, left = min(m0, bm), min(n0, bn)
+    shape = (max(m0 + h, bm + bh) - top, max(n0 + w, bn + bw) - left)
+    _check_cells(shape)
+    out = np.zeros(shape, dtype=complex)
+    out[m0 - top:m0 - top + h, n0 - left:n0 - left + w] = a.box
+    region = out[bm - top:bm - top + bh, bn - left:bn - left + bw]
+    op(region, b.box, out=region, where=b.box != 0)
+    return TorusElement.from_box(a.theta, (top, left), out, tail)
 
 
 def add(a: TorusElement, b: TorusElement) -> TorusElement:
@@ -338,7 +275,7 @@ def modulate(a: TorusElement, factor) -> TorusElement:
     """Each coefficient c of a times the matching cell f of factor (a complex
     array broadcastable over a.box, or a scalar), rounded as CPython's c * f."""
     if not a._size:
-        return _with_tail(a, a.tail_l1)
+        return a
     f = np.asarray(factor, dtype=complex)
     re, im = _cmul(a.box.real, a.box.imag, f.real, f.imag)
     return _from_planes(a.theta, a.offset, re, im, a.tail_l1)
@@ -479,7 +416,7 @@ def _scatter_is_cheaper(na: int, a_shape: tuple[int, int], nb: int, b_shape: tup
 def adjoint(a: TorusElement) -> TorusElement:
     """Involution: (a*)_{m,n} = conj(a_{-m,-n}) exp(-2 pi i theta m n)."""
     if not a._size:
-        return _with_tail(a, a.tail_l1)
+        return a
     t_re, t_im = _twist_table(a.theta, _index_range(a, 0), _index_range(a, 1))
     re, im = _cmul(a.box.real, -a.box.imag, t_re, t_im)
     (m0, n0), (h, w) = a.offset, a.box.shape
@@ -531,7 +468,7 @@ def delta(j: int, a: TorusElement) -> TorusElement:
     if j not in (1, 2):
         raise ValueError("derivation index must be 1 or 2")
     if not a._size:
-        return _with_tail(a, a.tail_l1)
+        return a
     axis = j - 1
     ks = _index_range(a, axis).tolist()
     f = np.array([TWO_PI * 1j * k for k in ks], dtype=complex)
@@ -549,7 +486,7 @@ _LAPLACE = -4.0 * math.pi**2
 def laplacian(a: TorusElement) -> TorusElement:
     """delta_1^2 + delta_2^2: coefficient-wise multiplication by -4 pi^2 (m^2 + n^2)."""
     if not a._size:
-        return _with_tail(a, a.tail_l1)
+        return a
     ms, ns = _index_range(a, 0)[:, None], _index_range(a, 1)[None, :]
     re, im = _cmul(a.box.real, a.box.imag, _LAPLACE * (ms * ms + ns * ns), 0.0)
     at = _origin(a)
@@ -617,7 +554,7 @@ def truncate(a: TorusElement, box: int) -> TorusElement:
     r0, r1 = max(0, -box - m0), min(h, box - m0 + 1)
     c0, c1 = max(0, -box - n0), min(w, box - n0 + 1)
     if (r0, r1, c0, c1) == (0, h, 0, w):
-        return _with_tail(a, a.tail_l1)
+        return a
     outside = np.ones((h, w), dtype=bool)
     outside[r0:max(r0, r1), c0:max(c0, c1)] = False
     dropped = _seqsum(_moduli(a.box[outside]))
@@ -627,63 +564,44 @@ def truncate(a: TorusElement, box: int) -> TorusElement:
     return TorusElement.from_box(a.theta, (m0 + r0, n0 + c0), kept, a.tail_l1 + dropped)
 
 
-def _split(box: np.ndarray, rel_threshold: float) -> tuple[np.ndarray, float]:
-    """(kept, dropped): box with every cell of modulus at most
-    rel_threshold * peak set to 0, and the sum of those moduli.
+def prune(a: TorusElement, rel_threshold: float = 1e-16) -> TorusElement:
+    """Drop coefficients of modulus at most rel_threshold * peak, recording
+    their l1 mass as tail.
 
     peak is Python's max over the nonzero cells in row-major order: NaN
     when the first of them is NaN (then nothing is kept), otherwise the
     largest modulus that is not NaN.
     """
-    if not box.size:
-        return box, 0.0
-    mags = _moduli(box)
+    if not a._size:
+        return a
+    mags = _moduli(a.box)
     flat = mags.ravel()
     peak = float(np.fmax.reduce(flat))
     nans = np.isnan(flat)
     if nans.any() and nans[np.flatnonzero(flat)[0]]:
         peak = math.nan
     drop = ~(mags > rel_threshold * peak)
-    return np.where(drop, 0j, box), _seqsum(mags[drop])
+    kept = np.where(drop, 0j, a.box)
+    return TorusElement.from_box(a.theta, a.offset, kept, a.tail_l1 + _seqsum(mags[drop]))
 
 
-def prune(a: TorusElement, rel_threshold: float = 1e-16) -> TorusElement:
-    """Drop coefficients below rel_threshold * max |a_{m,n}|, recording tail mass."""
-    if not a._size:
-        return a
-    kept, dropped = _split(a.box, rel_threshold)
-    return TorusElement.from_box(a.theta, a.offset, kept, a.tail_l1 + dropped)
-
-
-def exp_i(h: TorusElement, t: float = 1.0, series_eps: float = 1e-15, max_order: int = 60) -> TorusElement:
+def exp_i(h: TorusElement, t: float = 1.0, max_order: int = 60) -> TorusElement:
     """exp(i t h) by power series with per-term pruning; unitary for h = h*.
 
-    The series is stopped once the incoming term's l1 norm is below
-    series_eps relative to the accumulated l1 mass; ConvergenceError is
-    raised when that has not happened after max_order terms.  Per-term
-    pruning keeps the support from growing linearly with the series order.
-    Each order is one mul; scaling, pruning and the running sum are array
-    operations, the sum on one dense box that grows with the support.
+    The series is stopped once the incoming term's l1 norm is below 1e-15
+    relative to the accumulated l1 mass; ConvergenceError is raised when
+    that has not happened after max_order terms.  Per-term pruning keeps the
+    support from growing linearly with the series order.
     """
-    theta = h.theta
     ith = scale(1j * t, h)
-    term = one(theta)
-    offset, acc, acc_tail = term.offset, term.box.copy(), term.tail_l1
+    term = acc = one(h.theta)
     term_l1 = acc_l1 = 1.0
     for k in range(1, max_order + 1):
-        prod = mul(term, ith)
-        # prune(scale(1 / k, prod), 1e-17)
-        re, im = _cmul(1.0 / k, 0.0, prod.box.real, prod.box.imag)
-        scaled = np.empty(prod.box.shape, dtype=complex)
-        scaled.real, scaled.imag = re, im
-        kept, dropped = _split(scaled, 1e-17)
-        term = TorusElement.from_box(theta, prod.offset, kept, prod.tail_l1 + dropped)
-        # acc = add(acc, term)
-        offset, acc = _merge(offset, acc, term, np.add)
-        acc_tail = acc_tail + term.tail_l1
-        term_l1, acc_l1 = _seqsum(_moduli(term.box)), _seqsum(_moduli(acc))
-        if term_l1 <= series_eps * max(1.0, acc_l1):
-            return prune(TorusElement.from_box(theta, offset, acc, acc_tail), 1e-17)
+        term = prune(scale(1.0 / k, mul(term, ith)), 1e-17)
+        acc = add(acc, term)
+        term_l1, acc_l1 = l1_norm(term), l1_norm(acc)
+        if term_l1 <= 1e-15 * max(1.0, acc_l1):
+            return prune(acc, 1e-17)
     raise ConvergenceError(
         f"exp_i: series not converged after {max_order} terms "
         f"(last term l1 {term_l1:.3e}, sum l1 {acc_l1:.3e})")

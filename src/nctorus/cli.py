@@ -136,7 +136,7 @@ def _build_instanton(config: RunConfig, tol: Tolerance) -> hb.InstantonRun:
     the overlap matrix keeps no coefficient)."""
     run = hb.build_instanton(config.theta, config.lam, tol, box=config.trunc_box,
                              L=config.grid_l, points=config.grid_points)
-    if not run.projection.coeffs or not math.isfinite(run.tail_l1):
+    if not run.projection.box.size or not math.isfinite(run.tail_l1):
         raise EmptyProjectionError(f"empty projection (tail_l1={run.tail_l1!r})")
     return run
 

@@ -65,7 +65,14 @@ def ising_energy(p: TorusElement) -> float:
 
 
 def ising_commutator(p: TorusElement) -> TorusElement:
-    """p (Lap p) - (Lap p) p, the left side of the projection field equation."""
+    """p (Lap p) - (Lap p) p, the left side of the projection field equation.
+
+    Both products are formed.  The one-product form X - X* with X = p Lap p
+    equals this only for p = p*, and a computed projection is self-adjoint
+    only to roundoff, a defect Lap amplifies by up to 4 pi^2 (m^2 + n^2) on
+    the support: for the default instanton (box 32, gns self-adjointness
+    defect 3.9e-14) X - X* reads 4.2e-11 where this commutator reads 7.9e-10.
+    """
     lp = laplacian(p)
     return sub(mul(p, lp), mul(lp, p))
 
@@ -226,22 +233,21 @@ def off_null_set(h: TorusElement, first: TorusElement) -> TorusElement:
     """h restricted to the indices where |1 - exp(-2 pi i theta (n p - q m))|
     exceeds _NULL_TOL, for the monomial first = U^p V^q.
 
-    This is the null set both constraint solvers set aside at their default
-    null_tol.  At theta = a/b in lowest terms it is every index where b
-    divides n p - q m, not only the lattice n p = q m.
+    This is the null set both constraint solvers set aside.  At theta = a/b
+    in lowest terms it is every index where b divides n p - q m, not only
+    the lattice n p = q m.
     """
     p, q, _ = _monomial_index(first)
     return TorusElement(h.theta, {(m, n): c for (m, n), c in h.coeffs.items()
                                   if abs(_null_gap(h.theta, p, q, m, n)) > _NULL_TOL})
 
 
-def _diagonal_solve(rhs: TorusElement, first: TorusElement, entry,
-                    null_tol: float) -> TorusElement:
+def _diagonal_solve(rhs: TorusElement, first: TorusElement, entry) -> TorusElement:
     """B_{m,n} = numer / denom with (numer, denom) = entry(m, n, c, gap) for
     each coefficient c of rhs, where gap = _null_gap at first's index.
 
-    B is zero on the null set |gap| <= null_tol; a numerator above
-    null_tol * max(1, |rhs|_1) there raises ConstraintError, as does a
+    B is zero on the null set |gap| <= _NULL_TOL; a numerator above
+    _NULL_TOL * max(1, |rhs|_1) there raises ConstraintError, as does a
     non-self-adjoint result.
     """
     theta = rhs.theta
@@ -252,8 +258,8 @@ def _diagonal_solve(rhs: TorusElement, first: TorusElement, entry,
     for (m, n), c in sorted(rhs.coeffs.items()):
         gap = _null_gap(theta, p, q, m, n)
         numer, denom = entry(m, n, c, gap)
-        if abs(gap) <= null_tol:
-            if abs(numer) > null_tol * rscale:
+        if abs(gap) <= _NULL_TOL:
+            if abs(numer) > _NULL_TOL * rscale:
                 bad.append((m, n))
             continue
         coeffs[(m, n)] = numer / denom
@@ -266,8 +272,7 @@ def _diagonal_solve(rhs: TorusElement, first: TorusElement, entry,
     return B
 
 
-def solve_constraint_for_B(A: TorusElement, phi: EndoPair,
-                           null_tol: float = _NULL_TOL) -> TorusElement:
+def solve_constraint_for_B(A: TorusElement, phi: EndoPair) -> TorusElement:
     """Solve B - phi(U)* B phi(U) = A - phi(V)* A phi(V) coefficient-wise.
 
     For monomial phi(U) = U^p V^q the conjugation is diagonal with eigenvalue
@@ -276,7 +281,7 @@ def solve_constraint_for_B(A: TorusElement, phi: EndoPair,
     where K must vanish.
     """
     K = sub(A, mul(mul(adjoint(phi.phiV), A), phi.phiV))
-    return _diagonal_solve(K, phi.phiU, lambda m, n, c, gap: (c, gap), null_tol)
+    return _diagonal_solve(K, phi.phiU, lambda m, n, c, gap: (c, gap))
 
 
 def _current_divergence_pairing(X: TorusElement, img: TorusElement) -> complex:
@@ -360,8 +365,7 @@ def su2_constraint_residuals(pair: ConstraintPair, phi: CoerciveQuadruple) -> tu
     return l1_norm(e1), l1_norm(e2)
 
 
-def solve_su2_constraint_for_B(A: TorusElement, phi: CoerciveQuadruple,
-                               null_tol: float = _NULL_TOL) -> TorusElement:
+def solve_su2_constraint_for_B(A: TorusElement, phi: CoerciveQuadruple) -> TorusElement:
     """Solve both constraint identities for B given self-adjoint A.
 
     With monomial u = U^p V^q, v = U^r V^s and x = exp(-2 pi i theta), both
@@ -380,7 +384,7 @@ def solve_su2_constraint_for_B(A: TorusElement, phi: CoerciveQuadruple,
         numer = x ** (n * r) - x ** (s * m)
         return c * x ** ((q - s) * m) * numer, x ** (n * p) - x ** (q * m)
 
-    return _diagonal_solve(A, phi.u, entry, null_tol)
+    return _diagonal_solve(A, phi.u, entry)
 
 
 def su2_el_pairing(pair: ConstraintPair, phi: CoerciveQuadruple,
@@ -448,13 +452,12 @@ class DescentResult:
     stagnated: bool
 
 
-def energy_descent(x0: TorusElement, steps: int, rate: float,
-                   stall_limit: int = 5) -> DescentResult:
+def energy_descent(x0: TorusElement, steps: int, rate: float) -> DescentResult:
     """Gradient flow for the circle model with multiplicative unitary updates.
 
     Each step applies x <- exp(-i rate g) x with g the self-adjoint gradient,
     which preserves unitarity structurally.  Stops early (reported, not
-    fatal) after stall_limit consecutive non-decreasing energies.
+    fatal) after 5 consecutive non-decreasing energies.
     """
     x = x0
     energies = [chiral_energy(x)]
@@ -469,7 +472,7 @@ def energy_descent(x0: TorusElement, steps: int, rate: float,
         energies.append(chiral_energy(x))
         if energies[-1] >= energies[-2] - 1e-15:
             stall += 1
-            if stall >= stall_limit:
+            if stall >= 5:
                 return DescentResult(x, energies, True)
         else:
             stall = 0

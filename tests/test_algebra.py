@@ -8,7 +8,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from nctorus import algebra
 from nctorus.algebra import (
@@ -551,6 +551,8 @@ def test_coefficientwise_ops_match_the_dict_oracles(theta, s):
 @seed(37)
 @settings(max_examples=10, deadline=None, database=None)
 @given(theta=THETA_RANGE, s=st.integers(0, 10**6), t=st.floats(0.05, 0.8))
+# l1(t h) = 10.0: 35 orders, the running sum's box growing from 1 x 1 to 47 x 47
+@example(theta=THETA, s=0, t=6.5)
 def test_exp_i_matches_the_dict_series(theta, s, t):
     h = random_selfadjoint(theta, 1, s)
     w = exp_i(h, t)
@@ -568,6 +570,7 @@ def test_coeffs_is_a_read_only_row_major_view():
     assert len(e.coeffs) == 4 and (0, 0) in e.coeffs and (1, 1) not in e.coeffs
     assert e.coeffs == {(2, -1): 1, (-1, 3): 2j, (0, 0): 0.5, (2, -3): -1}
     assert e.coeffs.get((1, 1), 7) == 7
+    assert e.coeffs is e.coeffs and e.support() == list(e.coeffs)
     with pytest.raises(TypeError):
         e.coeffs[(0, 0)] = 3.0
     with pytest.raises(ValueError):
@@ -577,6 +580,15 @@ def test_coeffs_is_a_read_only_row_major_view():
     assert trace(e) == 0.5
     for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
         assert _bits(twin.coeffs.items()) == _bits(e.coeffs.items())
+
+
+def test_repr_lists_the_first_eight_terms_in_row_major_order():
+    e = random_element(THETA, 3, 5, terms=12)
+    assert repr(e) == (
+        "TorusElement(theta=0.2, {(-2,0): 1.60002+0.202882j, (-2,3): 0.272769-1.23333j, "
+        "(-1,0): -1.04793-0.39619j, (-1,1): 0.829855-1.64302j, (0,-1): -0.78478+0.748746j, "
+        "(0,3): -0.980747-0.173155j, (1,-1): 1.13605+0.109706j, (1,1): -0.488006-0.713313j, "
+        "... (12 terms)})")
 
 
 def test_box_is_cropped_to_the_support():

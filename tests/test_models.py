@@ -17,6 +17,7 @@ from nctorus.algebra import (
     monomial,
     mul,
     one,
+    random_element,
     random_selfadjoint,
     scale,
     sub,
@@ -41,6 +42,7 @@ from nctorus.models import (
     first_variation_check,
     chiral_variation_pairing,
     harmonic_from_projection,
+    ising_commutator,
     ising_el_residual,
     ising_energy,
     ising_variation_pairing,
@@ -128,6 +130,16 @@ def test_ising_el_residual(inst):
     assert ising_el_residual(inst) < 1e-8
     bumped = add(inst, monomial(THETA, 1, 2, 0.05))
     assert ising_el_residual(bumped) > 1e-3
+
+
+def test_ising_commutator_forms_both_products():
+    # on a non-self-adjoint element X - X* (X = a Lap a) is another element,
+    # so the one-product form fails this bit-for-bit comparison
+    a = random_element(THETA, 3, 8, terms=30)
+    lap = laplacian(a)
+    got, want = ising_commutator(a), sub(mul(a, lap), mul(lap, a))
+    assert ((got.offset, got.box.shape, got.box.tobytes())
+            == (want.offset, want.box.shape, want.box.tobytes()))
 
 
 def test_chern_trivial_values():
