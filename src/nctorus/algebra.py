@@ -317,9 +317,9 @@ def _twist_table(theta: float, ls: np.ndarray, ms: np.ndarray) -> tuple[np.ndarr
     The phase depends on l * m only, so each distinct product is evaluated
     once, by the same scalar routine as mul_reference.
     """
-    prods = (ls[:, None] * ms[None, :]).ravel().tolist()
-    phase = {p: _twist(theta, p, 1) for p in set(prods)}
-    ph = np.array([phase[p] for p in prods], dtype=complex).reshape(len(ls), len(ms))
+    prods, where = np.unique((ls[:, None] * ms[None, :]).ravel(), return_inverse=True)
+    phase = np.array([_twist(theta, p, 1) for p in prods.tolist()], dtype=complex)
+    ph = phase[where].reshape(len(ls), len(ms))
     return ph.real.copy(), ph.imag.copy()
 
 
@@ -330,10 +330,20 @@ def _index_range(a: TorusElement, axis: int) -> np.ndarray:
 
 
 # Fixed cost of one accumulation step in mul (a few numpy calls), in units
-# of the cost of one dense output cell; it decides which operand mul loops
-# over.  Timing steps on boxes from 3 x 3 to 55 x 65 (numpy 2.4, 2-vCPU
-# Xeon) put it between 500 and 1000 cells.
+# of the cost of one dense output cell of a block step; with _SCATTER_CELL it
+# decides which operand mul loops over.  Timing steps on boxes from 3 x 3 to
+# 55 x 65 (numpy 2.4, 2-vCPU Xeon) put it between 500 and 1000 cells.
 _STEP_CELLS = 600
+# Cost of one output cell of a scatter step, in the same units.  Its three
+# multiplies broadcast a row of y over a's box, and each costs about four
+# times a multiply by a scalar.  Timing step bodies on boxes from 3 x 3 to
+# 65 x 65 (same machine) put the per-cell ratio between 1.4 and 2.0; a fit to
+# whole products on both paths put it at 1.4, with a scatter step's fixed
+# cost nearly twice a block step's.  With 1.6, operands of about the same
+# size take the block path, the faster one on each such product of 13 x 13
+# or more in the benchmark's workloads (p Lap p at box 32: 50 ms against
+# 76 ms); on smaller boxes the two paths differ by less than the noise.
+_SCATTER_CELL = 1.6
 
 
 def mul(a: TorusElement, b: TorusElement) -> TorusElement:
@@ -409,7 +419,7 @@ def mul(a: TorusElement, b: TorusElement) -> TorusElement:
 def _scatter_is_cheaper(na: int, a_shape: tuple[int, int], nb: int, b_shape: tuple[int, int]) -> bool:
     """Whether looping over the nb right terms (each step covering a's dense
     box) costs less than looping over the na left terms (each covering b's)."""
-    return (nb * (_STEP_CELLS + a_shape[0] * a_shape[1])
+    return (nb * (_STEP_CELLS + _SCATTER_CELL * a_shape[0] * a_shape[1])
             < na * (_STEP_CELLS + b_shape[0] * b_shape[1]))
 
 

@@ -273,9 +273,14 @@ def _overlap_matrix(first: SchwartzVector, second: SchwartzVector,
             rows[i, live] = np.conj(evaluate(second, x[live]))
         else:
             rows[i] = np.conj(_shift_values(s.values, sh / h))
-    weighted = rows * (fvals * _trapezoid_weights(points, h))[None, :]
-    phases = np.exp(1j * np.outer(t, freqs))
-    return weighted @ phases
+    rows *= (fvals * _trapezoid_weights(points, h))[None, :]
+    # Built in place, in row blocks, so that rows and phases are the only two
+    # full-size arrays alive; the same values as np.exp(1j * np.outer(t, freqs)).
+    phases = np.empty((points, len(freqs)), dtype=complex)
+    for j in range(0, points, 512):
+        np.multiply(1j, np.multiply.outer(t[j:j + 512], freqs), out=phases[j:j + 512])
+    np.exp(phases, out=phases)
+    return rows @ phases
 
 
 def _ring_l1(mat: np.ndarray) -> float:

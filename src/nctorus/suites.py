@@ -63,14 +63,17 @@ class Instantons:
 
     The gram element, its Newton-Schulz inverse and xi . b^{-1} are built
     once, on the first request, and each box's projection once; every later
-    box costs one inner_A.  run_suites makes one per call, so nothing
-    outlives a command.
+    box costs one inner_A.  The pruned projection and its Ising energy and
+    Chern number are likewise evaluated once per box for every suite that
+    reads them.  run_suites makes one per call, so nothing outlives a
+    command.
     """
 
     def __init__(self, theta: float, tol: Tolerance):
         self.theta, self.tol = theta, tol
         self._run: hb.InstantonRun | None = None
         self._by_box: dict[int, TorusElement] = {}
+        self._pruned: dict[int, tuple[TorusElement, float, float]] = {}
 
     def projection(self, box: int) -> TorusElement:
         if box not in self._by_box:
@@ -80,6 +83,14 @@ class Instantons:
             else:
                 self._by_box[box] = hb.reproject(self._run, self.tol, box)
         return self._by_box[box]
+
+    def pruned(self, box: int) -> tuple[TorusElement, float, float]:
+        """(p, ising_energy(p), chern_number(p)) for p the projection at box
+        pruned at 1e-16."""
+        if box not in self._pruned:
+            p = prune(self.projection(box), 1e-16)
+            self._pruned[box] = (p, md.ising_energy(p), md.chern_number(p))
+        return self._pruned[box]
 
 
 # ------------------------------------------------------------- algebra oracle
@@ -190,8 +201,7 @@ def module_suite(theta: float, tol: Tolerance, seed: int,
 def models_suite(theta: float, tol: Tolerance, seed: int,
                  instantons: Instantons) -> list[CheckRow]:
     rows = []
-    p = prune(instantons.projection(16), 1e-16)
-    e, c1 = md.ising_energy(p), md.chern_number(p)
+    p, e, c1 = instantons.pruned(16)
     rows.append(_row("models", "energy_chern_bound", max(0.0, -(e + 2 * math.pi * c1)),
                      1e-3))
     holo, anti = md.duality_residuals(p)
@@ -253,13 +263,13 @@ def symmetry_suite(theta: float, tol: Tolerance, seed: int,
     rows.append(_row("symmetry", "group_action_law", group, 1e-12))
     rows.append(_row("symmetry", "trace_preserved", tr_pres, 1e-15))
 
-    p = prune(instantons.projection(16), 1e-16)
+    p, e, c1 = instantons.pruned(16)
 
     def functionals(x):
         return (md.ising_el_residual(x), md.ising_energy(x), md.chern_number(x),
                 md.chiral_residual(md.harmonic_from_projection(x)))
 
-    at_p = functionals(p)
+    at_p = (md.ising_el_residual(p), e, c1, md.chiral_residual(md.harmonic_from_projection(p)))
     inv = 0.0
     for w in [(1, 0), (0, 1), (2, -1)]:
         for fq, fp in zip(functionals(sym.ad(w, p)), at_p):

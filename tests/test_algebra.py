@@ -42,6 +42,7 @@ from nctorus.algebra import (
     truncate,
     zero,
 )
+from nctorus.heisenberg import build_instanton
 from nctorus.symmetry import ad
 from oracles import (
     ad_dict,
@@ -194,16 +195,32 @@ def _scatters(a, b):
 @given(theta=THETA_RANGE, s=st.integers(0, 10**6))
 def test_mul_bit_identical_to_reference_on_both_paths(theta, s):
     """Large x small takes the scatter path and small x large the block
-    path; of two nearly equal operands on one box, mul loops over the one
-    with fewer terms.  Every operand has negative indices."""
+    path.  On one box, a right operand with about half the terms of the
+    left takes the scatter path, while two operands of nearly the same size
+    take the block path in either order, since a scatter step costs more per
+    cell.  Every operand has negative indices."""
     big = _box_element(theta, range(-7, 6), range(-5, 8), 120, s)
     small = _box_element(theta, range(-1, 2), range(-2, 1), 7, s + 1)
     near = _box_element(theta, range(-7, 6), range(-5, 8), 116, s + 2)
-    cases = [(big, small, True), (small, big, False), (big, near, True), (near, big, False)]
+    half = _box_element(theta, range(-7, 6), range(-5, 8), 60, s + 3)
+    cases = [(big, small, True), (small, big, False), (big, half, True),
+             (big, near, False), (near, big, False)]
     for a, b, scatter in cases:
         assert len(a.coeffs) * len(b.coeffs) > 512
         assert _scatters(a, b) is scatter
         assert mul(a, b).coeffs == mul_reference(a, b).coeffs
+
+
+def test_near_tie_products_take_the_block_path():
+    """The instanton's p Lap p and Lap p p, operands of the same size, take
+    the block path; exp_i's products of a box-19 element with a 3 x 3 one
+    stay on the scatter path."""
+    p = build_instanton(0.2, 0.0, DEFAULT_TOL, box=32).projection
+    lp = laplacian(p)
+    assert not _scatters(p, lp) and not _scatters(lp, p)
+    large = _box_element(0.2, range(-9, 10), range(-9, 10), 361, 5)
+    h = _box_element(0.2, range(-1, 2), range(-1, 2), 9, 6)
+    assert _scatters(large, h)
 
 
 @seed(19)

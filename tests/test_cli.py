@@ -212,6 +212,14 @@ def test_verify_symmetry_makes_49_products(monkeypatch, capsys):
     assert len(calls) == 49, calls
 
 
+def test_verify_all_makes_245_products(monkeypatch, capsys):
+    """The models and symmetry suites share the pruned box-16 projection's
+    Ising energy and Chern number through suites.Instantons."""
+    code, calls = _count_products(monkeypatch, capsys, "verify", "--suite", "all")
+    assert code == EXIT_OK
+    assert len(calls) == 245, len(calls)
+
+
 def test_verify_all_builds_one_instanton_front_end(monkeypatch, capsys):
     """Every projection of one verify run shares one gram element, inverse
     and xi . b^{-1}: one inversion, and one inner_A per projection box."""

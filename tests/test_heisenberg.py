@@ -1,6 +1,7 @@
 """Bimodule actions, inner products, inversion, and the projection pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,6 +397,26 @@ def test_gaussian_grid_evaluation_skips_only_exact_zeros(theta, s, right, lam_im
     got = _overlap_matrix(first, xi, shifts, freqs)
     want = _overlap_on_full_grid(first, xi, shifts, freqs)
     assert (got + 0).tobytes() == (want + 0).tobytes()
+
+
+def test_grid_overlap_at_instanton_size_holds_two_full_arrays():
+    """At the instanton's size (theta = 0.2, 65 shifts, 4001 points) the grid
+    quadrature gives the bits of (rows * w) @ exp(1j * outer(t, freqs)) while
+    holding at most two full-size complex arrays, rows and phases."""
+    theta, L, points = 0.2, 20.0, 4001
+    xi = gaussian_vector(theta, width=1.0 / theta)
+    first = as_sampled(gaussian_vector(theta, lam=0.2, width=1.0), L=L, points=points)
+    ms = np.arange(-32.0, 33.0)
+    shifts, freqs = theta * ms, -2.0 * np.pi * ms
+    want = _overlap_on_full_grid(first, xi, shifts, freqs)
+    tracemalloc.start()
+    try:
+        got = _overlap_matrix(first, xi, shifts, freqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got + 0).tobytes() == (want + 0).tobytes()
+    assert peak <= 2 * len(shifts) * points * 16 + (1 << 20), peak
 
 
 def test_live_cells_fall_back_to_the_full_grid_on_non_finite_input():
