@@ -13,19 +13,15 @@ idempotency_defect, trace, chern.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .algebra import (
     ConvergenceError,
     Tolerance,
-    gns_norm,
     monomial,
-    mul,
     random_selfadjoint,
-    sub,
     trace,
     truncate,
     zero,
@@ -33,7 +29,7 @@ from .algebra import (
 from . import heisenberg as hb
 from . import models as md
 from . import symmetry as sym
-from .report import ModelReport, tolerance_dict
+from .report import ModelReport
 from .suites import run_suites
 
 EXIT_OK = 0
@@ -105,8 +101,13 @@ def _emit(report: ModelReport, config: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _config_dict(config: RunConfig) -> dict:
-    return {name: getattr(config, name) for name in _CONFIG_FIELDS}
+def _report(config: RunConfig, model: str, extra: dict | None = None,
+            **results) -> ModelReport:
+    """A report at config: theta, every RunConfig field plus the command's
+    extra inputs, and the tolerance profile."""
+    return ModelReport(model=model, theta=config.theta,
+                       inputs={**asdict(config), **(extra or {})},
+                       tolerances=asdict(config.tolerance()), **results)
 
 
 # ------------------------------------------------------------------- commands
@@ -116,48 +117,38 @@ def _projection_row(p) -> dict:
     """Truncation tail, idempotency defect, trace and Chern number of p."""
     return {
         "tail_l1": p.tail_l1,
-        "idempotency_defect": gns_norm(sub(mul(p, p), p)),
+        "idempotency_defect": md.idempotency_defect(p),
         "trace": trace(p).real,
         "chern": md.chern_number(p),
     }
 
 
-class EmptyProjectionError(ArithmeticError):
-    """The pipeline ran but kept no coefficient of the projection."""
-
-
 # What a failed instanton build raises; each is a numerical failure, exit 3.
-_BUILD_ERRORS = (hb.NotInvertibleError, ConvergenceError, EmptyProjectionError, ValueError)
+_BUILD_ERRORS = (hb.NotInvertibleError, ConvergenceError, hb.EmptyProjectionError, ValueError)
 
 
-def _build_instanton(config: RunConfig, tol: Tolerance) -> hb.InstantonRun:
-    """build_instanton at config, raising EmptyProjectionError for an empty
-    projection or a non-finite truncation tail (a NaN or infinite entry of
-    the overlap matrix keeps no coefficient)."""
-    run = hb.build_instanton(config.theta, config.lam, tol, box=config.trunc_box,
-                             L=config.grid_l, points=config.grid_points)
-    if not run.projection.box.size or not math.isfinite(run.tail_l1):
-        raise EmptyProjectionError(f"empty projection (tail_l1={run.tail_l1!r})")
-    return run
+def _build_instanton(config: RunConfig) -> hb.InstantonRun:
+    return hb.build_instanton(config.theta, config.lam, config.tolerance(), box=config.trunc_box,
+                              L=config.grid_l, points=config.grid_points)
 
 
 def _error_kind(exc: Exception) -> str:
-    if isinstance(exc, EmptyProjectionError):
+    if isinstance(exc, hb.EmptyProjectionError):
         return "empty_projection"
     return "convergence_failure" if isinstance(exc, ConvergenceError) else "inversion_failure"
 
 
+def _failure(config: RunConfig, model: str, exc: Exception) -> tuple[ModelReport, int]:
+    """The report of a command whose instanton build failed: exit 3."""
+    return (_report(config, model, {"error_kind": _error_kind(exc)},
+                    residuals={"error": str(exc)}), EXIT_NUMERICAL)
+
+
 def cmd_instanton(config: RunConfig) -> tuple[ModelReport, int]:
-    tol = config.tolerance()
     try:
-        run = _build_instanton(config, tol)
+        run = _build_instanton(config)
     except _BUILD_ERRORS as exc:
-        report = ModelReport(model="instanton", theta=config.theta,
-                             inputs=_config_dict(config),
-                             residuals={"error": str(exc)},
-                             tolerances=tolerance_dict(tol))
-        report.inputs["error_kind"] = _error_kind(exc)
-        return report, EXIT_NUMERICAL
+        return _failure(config, "instanton", exc)
 
     p = run.projection
     # the last box is trunc_box, where truncate(p, box) is p itself
@@ -167,10 +158,8 @@ def cmd_instanton(config: RunConfig) -> tuple[ModelReport, int]:
     full = convergence[-1]
     chiral_energy_w, chiral_residual_w = md.chiral_energy_and_residual(
         md.harmonic_from_projection(p))
-    report = ModelReport(
-        model="instanton",
-        theta=config.theta,
-        inputs=_config_dict(config),
+    report = _report(
+        config, "instanton",
         energy=md.ising_energy(p),
         residuals={
             "selfadjointness_defect": md.selfadjoint_defect(p),
@@ -185,29 +174,26 @@ def cmd_instanton(config: RunConfig) -> tuple[ModelReport, int]:
             "tail_l1": run.tail_l1,
         },
         chern=full["chern"],
-        tolerances=tolerance_dict(tol),
         convergence=convergence,
     )
     return report, EXIT_OK
 
 
 def cmd_verify(config: RunConfig, suite: str) -> tuple[ModelReport, int]:
-    tol = config.tolerance()
-    rows = run_suites(suite, config.theta, tol, config.seed)
-    all_pass = all(r.passed for r in rows)
-    report = ModelReport(
-        model=f"verify:{suite}",
-        theta=config.theta,
-        inputs=_config_dict(config),
+    model = f"verify:{suite}"
+    try:
+        rows = run_suites(suite, config.theta, config.tolerance(), config.seed)
+    except _BUILD_ERRORS as exc:
+        return _failure(config, model, exc)
+    report = _report(
+        config, model,
         residuals={"failed": sum(1 for r in rows if not r.passed), "total": len(rows)},
-        tolerances=tolerance_dict(tol),
-        convergence=[r.as_dict() for r in rows],
+        convergence=[asdict(r) for r in rows],
     )
-    return report, EXIT_OK if all_pass else EXIT_INVARIANT
+    return report, EXIT_OK if all(r.passed for r in rows) else EXIT_INVARIANT
 
 
 def cmd_sweep(config: RunConfig, param: str, values: list[float]) -> tuple[ModelReport, int]:
-    tol = config.tolerance()
     rows = []
     worst = EXIT_OK
     field = _SWEEP_FIELDS[param]
@@ -216,21 +202,14 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float]) -> tuple[Model
         row = {param: value}
         try:
             cfg.validate()
-            p = _build_instanton(cfg, tol).projection
+            p = _build_instanton(cfg).projection
             row.update(_projection_row(p))
             row.update({"energy": md.ising_energy(p), "error": ""})
         except _BUILD_ERRORS as exc:
             row.update({"error": str(exc)})
             worst = EXIT_NUMERICAL
         rows.append(row)
-    report = ModelReport(
-        model=f"sweep:{param}",
-        theta=config.theta,
-        inputs=_config_dict(config),
-        tolerances=tolerance_dict(tol),
-        convergence=rows,
-    )
-    return report, worst
+    return _report(config, f"sweep:{param}", convergence=rows), worst
 
 
 def _constrained_pairs(solve, phi, first, theta, seed, count):
@@ -282,14 +261,9 @@ def cmd_models(config: RunConfig, model: str, matrix: tuple[int, int, int, int] 
         orbit_ok = all(sym.projective_equal(W, sym.ad(w, W), tol)
                        for w in [(1, 0), (0, 1), (1, -1)])
         energy, residual = md.chiral_energy_and_residual(W)
-        report = ModelReport(
-            model="chiral", theta=theta,
-            inputs={**_config_dict(config), "m": m, "n": n},
-            energy=energy,
-            residuals={"el_residual": residual,
-                       "ad_orbit_in_gauge_orbit": bool(orbit_ok)},
-            tolerances=tolerance_dict(tol),
-        )
+        report = _report(config, "chiral", {"m": m, "n": n}, energy=energy,
+                         residuals={"el_residual": residual,
+                                    "ad_orbit_in_gauge_orbit": bool(orbit_ok)})
         return report, EXIT_OK
     if matrix is None:
         raise UsageError(f"model={model} needs --matrix p,q,r,s")
@@ -303,12 +277,10 @@ def cmd_models(config: RunConfig, model: str, matrix: tuple[int, int, int, int] 
         raise UsageError(str(exc)) from exc
     pairs = _constrained_pairs(solve, phi, first(phi), theta, config.seed, 10)
     pairings = [abs(pairing(pair, phi)) for pair in pairs]
-    report = ModelReport(
-        model=model, theta=theta,
-        inputs={**_config_dict(config), "matrix": list(matrix)},
+    report = _report(
+        config, model, {"matrix": list(matrix)},
         energy=energy(phi),
         residuals=residuals(phi, max(pairings)),
-        tolerances=tolerance_dict(tol),
         convergence=[{"pair": i, "abs_pairing": v} for i, v in enumerate(pairings)],
     )
     return report, EXIT_OK

@@ -435,6 +435,10 @@ def invert_positive_with_stats(b: TorusElement, tol: Tolerance = DEFAULT_TOL,
 # -------------------------------------------------------------------- instanton
 
 
+class EmptyProjectionError(ArithmeticError):
+    """The pipeline ran but kept no coefficient of the projection."""
+
+
 @dataclass(frozen=True)
 class InstantonRun:
     """Everything produced while building one Gaussian projection."""
@@ -443,13 +447,11 @@ class InstantonRun:
     lam: complex
     vector: SchwartzVector
     gram: TorusElement
-    gram_inverse: TorusElement
     inversion_residual: float
     inversion_iterations: int
     inversion_seed: str  # Newton-Schulz start that converged: "trace" or "l1"
     right_image: SchwartzVector  # xi . b^{-1}, on the grid
     projection: TorusElement
-    trunc_box: int
     tail_l1: float
     tail_converged: bool
 
@@ -463,7 +465,8 @@ def build_instanton(theta: float, lam: complex = 0.0, tol: Tolerance = DEFAULT_T
     module's action conventions, i.e. a Gaussian of width 1/theta.  The
     projection is p = <xi . b^{-1}, xi>_A with b = <xi, xi>_B, reported on
     [-box, box]^2 with the boundary-ring mass recorded as the truncation
-    report.
+    report.  Raises EmptyProjectionError when p keeps no coefficient or its
+    tail is not finite (a NaN or infinite overlap entry keeps nothing).
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0, 1)")
@@ -472,11 +475,12 @@ def build_instanton(theta: float, lam: complex = 0.0, tol: Tolerance = DEFAULT_T
     ginv, res, its, seed = invert_positive_with_stats(gram, tol)
     x1 = act_right(xi, ginv, L=L, points=points)
     p = inner_A(x1, xi, tol, box=box)
+    if not p.box.size or not math.isfinite(p.tail_l1):
+        raise EmptyProjectionError(f"empty projection (tail_l1={p.tail_l1!r})")
     converged = p.tail_l1 <= tol.truncation_eps * max(1.0, l1_norm(p))
     return InstantonRun(theta=theta, lam=complex(lam), vector=xi, gram=gram,
-                        gram_inverse=ginv, inversion_residual=res,
-                        inversion_iterations=its, inversion_seed=seed,
-                        right_image=x1, projection=p, trunc_box=box,
+                        inversion_residual=res, inversion_iterations=its,
+                        inversion_seed=seed, right_image=x1, projection=p,
                         tail_l1=p.tail_l1, tail_converged=converged)
 
 

@@ -50,9 +50,14 @@ def selfadjoint_defect(x: TorusElement) -> float:
     return gns_norm(sub(x, adjoint(x)))
 
 
+def idempotency_defect(p: TorusElement) -> float:
+    """||p^2 - p|| in gns norm."""
+    return gns_norm(sub(mul(p, p), p))
+
+
 def projection_defect(p: TorusElement) -> tuple[float, float]:
     """(selfadjointness defect, idempotency defect) in gns norm."""
-    return selfadjoint_defect(p), gns_norm(sub(mul(p, p), p))
+    return selfadjoint_defect(p), idempotency_defect(p)
 
 
 # ------------------------------------------------------------ two-point model

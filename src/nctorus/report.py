@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
-
-from .algebra import Tolerance
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -21,20 +19,8 @@ class ModelReport:
     tolerances: dict = field(default_factory=dict)
     convergence: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "theta": self.theta,
-            "inputs": self.inputs,
-            "energy": self.energy,
-            "residuals": self.residuals,
-            "chern": self.chern,
-            "tolerances": self.tolerances,
-            "convergence": self.convergence,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
         """Flatten the convergence rows; header from the union of row keys."""
@@ -60,10 +46,3 @@ def _csv_cell(v) -> str:
         return repr(v)
     return str(v)
 
-
-def tolerance_dict(tol: Tolerance) -> dict:
-    return {
-        "algebraic_eps": tol.algebraic_eps,
-        "truncation_eps": tol.truncation_eps,
-        "quadrature_eps": tol.quadrature_eps,
-    }

@@ -44,15 +44,6 @@ class CheckRow:
     tolerance: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "defect": self.defect,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 def _row(suite: str, name: str, defect: float, tolerance: float) -> CheckRow:
     return CheckRow(suite, name, float(defect), float(tolerance), bool(defect <= tolerance))
@@ -189,10 +180,7 @@ def module_suite(theta: float, tol: Tolerance, seed: int,
     sa, idem = md.projection_defect(instantons.projection(20))
     rows.append(_row("module", "instanton_selfadjoint", sa, tol.algebraic_eps))
     rows.append(_row("module", "instanton_idempotent", idem, 10 * tol.truncation_eps))
-    tails = []
-    for box in (4, 6, 8):
-        p = instantons.projection(box)
-        tails.append(gns_norm(sub(mul(p, p), p)))
+    tails = [md.idempotency_defect(instantons.projection(box)) for box in (4, 6, 8)]
     halving = max(tails[i + 1] / tails[i] for i in range(len(tails) - 1))
     rows.append(_row("module", "tail_halves_with_box", halving, 0.5))
     return rows

@@ -187,7 +187,7 @@ def _count_products(monkeypatch, capsys, *argv):
 
     bound = [m for name, m in sys.modules.items()
              if name.startswith("nctorus") and getattr(m, "mul", None) is original]
-    assert {m.__name__ for m in bound} >= {"nctorus.algebra", "nctorus.models", "nctorus.cli",
+    assert {m.__name__ for m in bound} >= {"nctorus.algebra", "nctorus.models",
                                            "nctorus.heisenberg", "nctorus.symmetry",
                                            "nctorus.suites"}
     for module in bound:
@@ -278,6 +278,39 @@ def test_empty_projection_gives_exit_3(capsys):
     good, empty = json.loads(out)["convergence"]
     assert good["error"] == "" and abs(good["chern"] + 1.0) < 1e-4
     assert "empty projection" in empty["error"] and "tail_l1" not in empty
+
+
+@pytest.mark.parametrize("suite", ["all", "module", "models", "symmetry"])
+def test_verify_on_an_empty_projection_gives_exit_3(capsys, suite):
+    code, out = run_cli(capsys, "--theta", "0.5", "verify", "--suite", suite)
+    assert code == EXIT_NUMERICAL
+    data = json.loads(out)
+    assert data["model"] == f"verify:{suite}"
+    assert data["inputs"]["error_kind"] == "empty_projection"
+    assert "empty projection" in data["residuals"]["error"]
+    assert data["convergence"] == []
+
+
+def test_verify_algebra_builds_no_instanton(capsys):
+    # the instanton is built on first use, so a suite that never reads it
+    # runs at a theta where the projection is empty
+    code, out = run_cli(capsys, "--theta", "0.5", "verify", "--suite", "algebra")
+    assert code == EXIT_OK
+    assert len(json.loads(out)["convergence"]) == 7
+
+
+def test_verify_on_a_failed_inversion_gives_exit_3(capsys):
+    code, out = run_cli(capsys, "--theta", "0.05", "verify", "--suite", "models")
+    assert code == EXIT_NUMERICAL
+    data = json.loads(out)
+    assert data["inputs"]["error_kind"] == "inversion_failure"
+    assert "positive trace" in data["residuals"]["error"]
+
+
+def test_verify_csv_columns_follow_the_check_row_fields(capsys):
+    code, out = run_cli(capsys, "--format", "csv", "verify", "--suite", "all")
+    assert code == EXIT_OK
+    assert out.startswith("suite,name,defect,tolerance,passed\n")
 
 
 def test_box_cap_gives_exit_3(monkeypatch, capsys):

@@ -476,6 +476,12 @@ def test_instanton_theta_out_of_range():
         build_instanton(1.2, 0.0, TOL, box=8)
 
 
+def test_instanton_raises_on_an_empty_projection():
+    # at theta = 0.5 the grid pipeline loses every coefficient today
+    with pytest.raises(hb.EmptyProjectionError, match="empty projection"):
+        build_instanton(0.5, 0.0, TOL, box=8)
+
+
 def test_instanton_reports_unconverged_tail_at_tiny_box():
     run = build_instanton(0.2, 0.0, TOL, box=3)
     assert not run.tail_converged

@@ -1,7 +1,10 @@
-"""Static hygiene: every module-level import in src/nctorus is used, and every
-module-level private name is referenced."""
+"""Static hygiene: every module-level import in src/nctorus is used, every
+module-level private name is referenced, and every public error class of the
+library modules is exported from the package."""
 
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -99,3 +102,20 @@ def test_private_detector_flags_dead_and_spares_referenced():
 def test_no_unreferenced_private_names():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def public_exceptions(module) -> list[str]:
+    """Public Exception subclasses that module defines itself."""
+    return sorted(name for name, obj in vars(module).items()
+                  if inspect.isclass(obj) and issubclass(obj, Exception)
+                  and obj.__module__ == module.__name__ and not name.startswith("_"))
+
+
+@pytest.mark.parametrize("module", ["algebra", "heisenberg", "models", "symmetry"])
+def test_public_exceptions_are_exported(module):
+    import nctorus
+
+    mod = importlib.import_module(f"nctorus.{module}")
+    missing = [name for name in public_exceptions(mod)
+               if getattr(nctorus, name, None) is not getattr(mod, name)]
+    assert missing == []
