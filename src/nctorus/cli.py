@@ -18,6 +18,7 @@ import typing
 from dataclasses import asdict, dataclass, fields, replace
 
 from .algebra import (
+    MAX_BOX_CELLS,
     ConvergenceError,
     Tolerance,
     monomial,
@@ -30,7 +31,7 @@ from . import heisenberg as hb
 from . import models as md
 from . import symmetry as sym
 from .report import ModelReport
-from .suites import run_suites
+from .suites import Instantons, run_suites
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -56,6 +57,8 @@ class RunConfig:
     def validate(self):
         if self.trunc_box < 1:
             raise ValueError("trunc_box must be at least 1")
+        if (2 * self.trunc_box + 1) ** 2 > MAX_BOX_CELLS:
+            raise ValueError(f"trunc_box {self.trunc_box}: [-t, t]^2 exceeds {MAX_BOX_CELLS} cells")
         if self.grid_points < 3 or self.grid_points % 2 == 0:
             raise ValueError("grid_points must be odd and at least 3")
         if not (0.0 < self.theta < 1.0):
@@ -124,7 +127,8 @@ def _projection_row(p) -> dict:
 
 
 # What a failed instanton build raises; each is a numerical failure, exit 3.
-_BUILD_ERRORS = (hb.NotInvertibleError, ConvergenceError, hb.EmptyProjectionError, ValueError)
+_BUILD_ERRORS = (hb.NotPositiveError, hb.NotInvertibleError, ConvergenceError,
+                 hb.EmptyProjectionError)
 
 
 def _build_instanton(config: RunConfig) -> hb.InstantonRun:
@@ -182,7 +186,8 @@ def cmd_instanton(config: RunConfig) -> tuple[ModelReport, int]:
 def cmd_verify(config: RunConfig, suite: str) -> tuple[ModelReport, int]:
     model = f"verify:{suite}"
     try:
-        rows = run_suites(suite, config.theta, config.tolerance(), config.seed)
+        rows = run_suites(suite, config.theta, config.tolerance(), config.seed,
+                          lambda: _build_instanton(replace(config, trunc_box=Instantons.BOX)))
     except _BUILD_ERRORS as exc:
         return _failure(config, model, exc)
     report = _report(
@@ -203,11 +208,11 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float]) -> tuple[Model
         try:
             cfg.validate()
             p = _build_instanton(cfg).projection
-            row.update(_projection_row(p))
-            row.update({"energy": md.ising_energy(p), "error": ""})
-        except _BUILD_ERRORS as exc:
-            row.update({"error": str(exc)})
+        except (ValueError, *_BUILD_ERRORS) as exc:  # a value validate rejects is a row error
+            row["error"] = str(exc)
             worst = EXIT_NUMERICAL
+        else:
+            row.update(_projection_row(p), energy=md.ising_energy(p), error="")
         rows.append(row)
     return _report(config, f"sweep:{param}", convergence=rows), worst
 

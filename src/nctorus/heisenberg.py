@@ -398,6 +398,10 @@ def _newton_schulz(b: TorusElement, x0: TorusElement, target: float,
     return best_x, best_res, max_iter, best_res <= target
 
 
+class NotPositiveError(ValueError):
+    """invert_positive's input is not positive: not self-adjoint, or of trace <= 0."""
+
+
 def invert_positive(b: TorusElement, tol: Tolerance = DEFAULT_TOL,
                     max_iter: int = 60) -> TorusElement:
     """Inverse of a positive element by the Newton-Schulz iteration x(2 - bx).
@@ -405,7 +409,8 @@ def invert_positive(b: TorusElement, tol: Tolerance = DEFAULT_TOL,
     Seeded at (1/trace(b)) 1 as the first attempt; if the l1 residual grows
     three steps in a row the iteration restarts once from the safe seed
     (1/l1(b)) 1, which contracts whenever b is boundedly invertible.  Raises
-    NotInvertibleError when both attempts diverge.
+    NotPositiveError when b is not self-adjoint or its trace is not
+    positive, and NotInvertibleError when both attempts diverge.
     """
     return invert_positive_with_stats(b, tol, max_iter)[0]
 
@@ -415,10 +420,10 @@ def invert_positive_with_stats(b: TorusElement, tol: Tolerance = DEFAULT_TOL,
     """invert_positive plus (residual, iterations, seed_used) diagnostics."""
     sa_defect = l1_norm(sub(b, adjoint(b)))
     if sa_defect > 1e-8 * max(1.0, l1_norm(b)):
-        raise ValueError("invert_positive requires a self-adjoint element")
+        raise NotPositiveError("invert_positive requires a self-adjoint element")
     tr = trace(b).real
     if tr <= 0:
-        raise ValueError("invert_positive requires positive trace")
+        raise NotPositiveError("invert_positive requires positive trace")
     target = min(tol.truncation_eps, 1e-12)
     x, res, its, ok = _newton_schulz(b, scale(1.0 / tr, one(b.theta)), target, max_iter)
     seed = "trace"
@@ -445,12 +450,10 @@ class InstantonRun:
 
     theta: float
     lam: complex
-    vector: SchwartzVector
     gram: TorusElement
     inversion_residual: float
     inversion_iterations: int
     inversion_seed: str  # Newton-Schulz start that converged: "trace" or "l1"
-    right_image: SchwartzVector  # xi . b^{-1}, on the grid
     projection: TorusElement
     tail_l1: float
     tail_converged: bool
@@ -473,21 +476,13 @@ def build_instanton(theta: float, lam: complex = 0.0, tol: Tolerance = DEFAULT_T
     xi = gaussian_vector(theta, lam=lam, width=1.0 / theta)
     gram = inner_B(xi, xi, tol)
     ginv, res, its, seed = invert_positive_with_stats(gram, tol)
-    x1 = act_right(xi, ginv, L=L, points=points)
-    p = inner_A(x1, xi, tol, box=box)
+    p = inner_A(act_right(xi, ginv, L=L, points=points), xi, tol, box=box)
     if not p.box.size or not math.isfinite(p.tail_l1):
         raise EmptyProjectionError(f"empty projection (tail_l1={p.tail_l1!r})")
     converged = p.tail_l1 <= tol.truncation_eps * max(1.0, l1_norm(p))
-    return InstantonRun(theta=theta, lam=complex(lam), vector=xi, gram=gram,
-                        inversion_residual=res, inversion_iterations=its,
-                        inversion_seed=seed, right_image=x1, projection=p,
+    return InstantonRun(theta=theta, lam=complex(lam), gram=gram, inversion_residual=res,
+                        inversion_iterations=its, inversion_seed=seed, projection=p,
                         tail_l1=p.tail_l1, tail_converged=converged)
-
-
-def reproject(run: InstantonRun, tol: Tolerance, box: int) -> TorusElement:
-    """run's projection on [-box, box]^2 instead of its own box: one inner_A
-    on the kept xi . b^{-1}, the same bits as build_instanton at that box."""
-    return inner_A(run.right_image, run.vector, tol, box=box)
 
 
 def instanton(theta: float, lam: complex = 0.0, tol: Tolerance = DEFAULT_TOL,

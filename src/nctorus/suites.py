@@ -2,14 +2,15 @@
 against its tolerance and reports pass/fail.  Deterministic for a fixed seed.
 
 The clock-and-shift matrices live here purely as a verification oracle for
-the rational-parameter cross-check (the test oracles share this copy); they
-are not part of the public algebra.
+the rational-parameter cross-check; they are not part of the public algebra.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .algebra import (
     scale,
     sub,
     trace,
+    truncate,
 )
 from . import heisenberg as hb
 from . import models as md
@@ -50,30 +52,23 @@ def _row(suite: str, name: str, defect: float, tolerance: float) -> CheckRow:
 
 
 class Instantons:
-    """Gaussian projections at (theta, lambda = 0) for one verify run.
+    """The instanton of one verify run.
 
-    The gram element, its Newton-Schulz inverse and xi . b^{-1} are built
-    once, on the first request, and each box's projection once; every later
-    box costs one inner_A.  The pruned projection and its Ising energy and
-    Chern number are likewise evaluated once per box for every suite that
-    reads them.  run_suites makes one per call, so nothing outlives a
-    command.
+    build makes the projection at BOX the way instanton and sweep do; it
+    runs once, on the first request, and each box a suite reads is a
+    truncation of that one projection.  The pruned projection and its Ising energy and
+    Chern number are evaluated once per box for every suite that reads
+    them.  run_suites makes one per call, so nothing outlives a command.
     """
 
-    def __init__(self, theta: float, tol: Tolerance):
-        self.theta, self.tol = theta, tol
-        self._run: hb.InstantonRun | None = None
-        self._by_box: dict[int, TorusElement] = {}
+    BOX = 20  # the largest projection box any suite reads
+
+    def __init__(self, build: Callable[[], hb.InstantonRun]):
+        self._run = cache(build)
         self._pruned: dict[int, tuple[TorusElement, float, float]] = {}
 
     def projection(self, box: int) -> TorusElement:
-        if box not in self._by_box:
-            if self._run is None:
-                self._run = hb.build_instanton(self.theta, 0.0, self.tol, box=box)
-                self._by_box[box] = self._run.projection
-            else:
-                self._by_box[box] = hb.reproject(self._run, self.tol, box)
-        return self._by_box[box]
+        return truncate(self._run().projection, box)
 
     def pruned(self, box: int) -> tuple[TorusElement, float, float]:
         """(p, ising_energy(p), chern_number(p)) for p the projection at box
@@ -177,7 +172,7 @@ def module_suite(theta: float, tol: Tolerance, seed: int,
     rows.append(_row("module", "associativity_bridge", bridge, tol.quadrature_eps))
     rows.append(_row("module", "trace_rescaling", tr_rel, tol.quadrature_eps))
 
-    sa, idem = md.projection_defect(instantons.projection(20))
+    sa, idem = md.projection_defect(instantons.projection(Instantons.BOX))
     rows.append(_row("module", "instanton_selfadjoint", sa, tol.algebraic_eps))
     rows.append(_row("module", "instanton_idempotent", idem, 10 * tol.truncation_eps))
     tails = [md.idempotency_defect(instantons.projection(box)) for box in (4, 6, 8)]
@@ -281,9 +276,10 @@ SUITES = {
 }
 
 
-def run_suites(which: str, theta: float, tol: Tolerance, seed: int) -> list[CheckRow]:
+def run_suites(which: str, theta: float, tol: Tolerance, seed: int,
+               build: Callable[[], hb.InstantonRun]) -> list[CheckRow]:
     names = list(SUITES) if which == "all" else [which]
-    instantons = Instantons(theta, tol)
+    instantons = Instantons(build)
     rows: list[CheckRow] = []
     for name in names:
         rows.extend(SUITES[name](theta, tol, seed, instantons))

@@ -5,8 +5,9 @@ Two deliberately different models of the same relations:
 * a symbolic word rewriter that normal-orders strings in the generators by
   repeatedly applying the single commutation rule, tracking the phase; and
 * the q x q clock-and-shift matrix pair, which satisfies the same relation
-  at theta = 1/q and carries the normalized matrix trace; its representation
-  matrix_rep is the one the verify suite uses.
+  at theta = 1/q and carries the normalized matrix trace; matrix_rep builds
+  each monomial from matrix powers of that pair, independently of the
+  verify suite's entrywise clock_shift_rep.
 
 It also keeps the product formulas of the functionals that now read tau(ab)
 through trace_product, written with mul_reference and trace, so the code
@@ -21,7 +22,6 @@ import math
 import numpy as np
 
 from nctorus.algebra import adjoint, delta, laplacian, mul_reference, scale, sub, trace
-from nctorus.suites import clock_shift_rep as matrix_rep  # noqa: F401
 
 Symbol = tuple[str, int]  # ("U" | "V", +1 | -1)
 
@@ -81,6 +81,20 @@ def clock_shift(q: int) -> tuple[np.ndarray, np.ndarray]:
     for j in range(q):
         shift[(j + 1) % q, j] = 1.0
     return clock, shift
+
+
+def _power(mat: np.ndarray, k: int) -> np.ndarray:
+    """mat^k for a unitary mat; a negative power through the conjugate transpose."""
+    return np.linalg.matrix_power(mat if k >= 0 else mat.conj().T, abs(k))
+
+
+def matrix_rep(a, q: int) -> np.ndarray:
+    """a at theta = 1/q as sum c_{m,n} clock^m shift^n, q x q."""
+    clock, shift = clock_shift(q)
+    rep = np.zeros((q, q), dtype=complex)
+    for (m, n), c in a.coeffs.items():
+        rep += c * (_power(clock, m) @ _power(shift, n))
+    return rep
 
 
 def matrix_trace(mat: np.ndarray) -> complex:

@@ -43,6 +43,7 @@ from nctorus.algebra import (
     zero,
 )
 from nctorus.heisenberg import build_instanton
+from nctorus.suites import clock_shift_rep
 from nctorus.symmetry import ad
 from oracles import (
     ad_dict,
@@ -468,6 +469,17 @@ def test_matrix_rep_is_multiplicative_at_rational_theta():
         lhs = matrix_rep(mul(a, b), q)
         rhs = matrix_rep(a, q) @ matrix_rep(b, q)
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def test_suite_clock_shift_rep_matches_the_oracle():
+    # indices in [-(q + 2), q + 2]^2: negative powers, and powers past q
+    negative = False
+    for q in (3, 5, 7):
+        for k in range(20):
+            a = random_element(1.0 / q, q + 2, 500 + k, terms=8)
+            negative = negative or any(m < 0 or n < 0 for m, n in a.coeffs)
+            assert np.abs(clock_shift_rep(a, q) - matrix_rep(a, q)).max() < 1e-12
+    assert negative
 
 
 def test_trace_matches_matrix_trace_inside_fundamental_box():

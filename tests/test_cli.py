@@ -1,13 +1,17 @@
 """Driver behavior: determinism, exit codes, config handling, report formats."""
 
+import inspect
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import nctorus.algebra as algebra
 import nctorus.heisenberg as hb
 import nctorus.models as md
+import nctorus.suites as suites
 import nctorus.symmetry as symmetry
 from nctorus.cli import (
     EXIT_INVARIANT,
@@ -33,6 +37,17 @@ def test_config_validation():
         RunConfig(grid_points=4000).validate()
     with pytest.raises(ValueError):
         RunConfig(theta=1.5).validate()
+
+
+def test_config_validation_bounds_the_box():
+    # [-1023, 1023]^2 fits in MAX_BOX_CELLS; only validated, never built
+    RunConfig(trunc_box=1023).validate()
+    with pytest.raises(ValueError, match="exceeds"):
+        RunConfig(trunc_box=1024).validate()
+
+
+def test_a_box_past_the_cell_bound_is_a_usage_error(capsys):
+    assert run_cli(capsys, "--trunc", "1024", "instanton") == (EXIT_USAGE, "")
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):
@@ -221,8 +236,9 @@ def test_verify_all_makes_245_products(monkeypatch, capsys):
 
 
 def test_verify_all_builds_one_instanton_front_end(monkeypatch, capsys):
-    """Every projection of one verify run shares one gram element, inverse
-    and xi . b^{-1}: one inversion, and one inner_A per projection box."""
+    """One verify run builds one projection, at the largest box any suite
+    reads: one inversion and one boxed inner_A.  Every smaller box is a
+    truncation of it."""
     inversions, inner_A = [], []
     invert, inner = hb.invert_positive_with_stats, hb.inner_A
 
@@ -239,7 +255,43 @@ def test_verify_all_builds_one_instanton_front_end(monkeypatch, capsys):
     code, _ = run_cli(capsys, "verify", "--suite", "all")
     assert code == EXIT_OK
     assert len(inversions) == 1
-    assert sorted(box for box in inner_A if box is not None) == [4, 6, 8, 16, 20]
+    assert [box for box in inner_A if box is not None] == [20]
+
+
+def test_verify_builds_p_from_the_config(monkeypatch, capsys):
+    calls = []
+    build = hb.build_instanton
+    signature = inspect.signature(build)
+
+    def recorded(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(hb, "build_instanton", recorded)
+    run_cli(capsys, "--lambda-re", "0.4", "--lambda-im", "-0.2", "--grid-l", "15",
+            "verify", "--suite", "models")
+    assert len(calls) == 1
+    args = calls[0]
+    assert (args["theta"], args["lam"], args["L"], args["points"], args["box"]) == (
+        0.2, 0.4 - 0.2j, 15.0, 4001, 20)
+
+
+def test_verify_reads_the_configured_grid(capsys):
+    # 101 points cannot resolve the Gaussian: the instanton rows must fail
+    code, out = run_cli(capsys, "--grid-points", "101", "verify", "--suite", "module")
+    assert code == EXIT_INVARIANT
+    failed = {row["name"] for row in json.loads(out)["convergence"] if not row["passed"]}
+    assert failed == {"instanton_selfadjoint", "instanton_idempotent", "tail_halves_with_box"}
+
+
+def test_a_suite_error_outside_the_build_is_not_a_numerical_failure(monkeypatch, capsys):
+    def mismatched(*_):
+        raise algebra.CompositionError("theta mismatch: 0.2 vs 0.3")
+
+    monkeypatch.setitem(suites.SUITES, "algebra", mismatched)
+    assert run_cli(capsys, "verify", "--suite", "algebra") == (EXIT_USAGE, "")
 
 
 def test_instanton_chiral_values_are_those_of_w(capsys):
@@ -323,3 +375,13 @@ def test_box_cap_gives_exit_3(monkeypatch, capsys):
     code, out = run_cli(capsys, "sweep", "--param", "theta", "--values", "0.2")
     assert code == EXIT_NUMERICAL
     assert "cap 1 " in json.loads(out)["convergence"][0]["error"]
+
+
+def test_compare_reports_finds_no_difference_between_a_tree_and_itself():
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "compare_reports.py"), str(root), str(root),
+         "--command", "models --model chiral --mn 1,2"],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == "$ nctorus models --model chiral --mn 1,2\n  same\n"
