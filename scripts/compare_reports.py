@@ -30,6 +30,7 @@ DEFAULT_COMMANDS = [
     "--theta 0.05 instanton",
     "--trunc 16 sweep --param theta --values 0.05,0.15,0.2,0.3,0.5,0.618",
     "--trunc 8 sweep --param theta --values 0.2,1.7",
+    "--trunc 8 sweep --param theta --values 0.35,0.45,0.75,0.95",
     "--trunc 12 --format csv sweep --param lambda --values=-1,0,1",
     "--theta 0.5 verify --suite all",
     "--theta 0.05 verify --suite models",

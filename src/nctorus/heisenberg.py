@@ -57,6 +57,17 @@ class NotInvertibleError(RuntimeError):
     """Newton-Schulz iteration diverged: not invertible at this truncation."""
 
 
+class NonFiniteError(ArithmeticError):
+    """A grid action or grid quadrature met a sample that is not finite."""
+
+
+def _require_finite(vals: np.ndarray, where: str) -> None:
+    """Raise NonFiniteError naming where and how many of vals are not finite."""
+    bad = len(vals) - int(np.count_nonzero(np.isfinite(vals)))
+    if bad:
+        raise NonFiniteError(f"{where}: {bad} of {len(vals)} grid samples are not finite")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Closed-form vector C * exp(-pi * theta * t^2 - 2i * lambda * t).
@@ -159,6 +170,8 @@ def _shift_values(vals: np.ndarray, shift_idx: float) -> np.ndarray:
     if abs(shift_idx - r) < 1e-9:
         out = np.zeros_like(vals)
         n = len(vals)
+        if abs(r) >= n:
+            return out
         if r >= 0:
             out[: n - r] = vals[r:] if r else vals
         else:
@@ -187,7 +200,8 @@ def _act(a: TorusElement, xi: SchwartzVector, right: bool,
     """a acting on xi from the left (right=False) or the right, per the side table.
 
     A single monomial acting on a Gaussian stays in closed form; any other
-    combination is realized on the grid.
+    combination is realized on the grid, where NonFiniteError is raised at
+    the first term that leaves a grid cell it updates not finite.
     """
     theta = xi.theta
     want = dual_theta(theta) if right else theta
@@ -195,26 +209,31 @@ def _act(a: TorusElement, xi: SchwartzVector, right: bool,
         raise CompositionError(f"{'dual ' if right else ''}theta mismatch: "
                                f"{a.theta!r} vs {want!r}")
     # per monomial (m, n): translation s and modulation frequency f
-    terms = [(float(m), n / theta, c) if right else (m * theta, n, c)
+    terms = [(m, n, float(m), n / theta, c) if right else (m, n, m * theta, n, c)
              for (m, n), c in sorted(a.coeffs.items())]
     k = xi.kind
     if isinstance(k, Gaussian) and len(terms) == 1:
-        (s, f, c), = terms
+        (_, _, s, f, c), = terms
         return SchwartzVector(theta, _monomial_act_gaussian(k, s, f, c, not right))
     if isinstance(k, Sampled):
         L, points = k.L, len(k.values)
     t = np.linspace(-L, L, points)
     h = 2.0 * L / (points - 1)
     out = np.zeros(points, dtype=complex)
-    for s, f, c in terms:
-        if isinstance(k, Gaussian):
-            # out starts at +0, so skipping exact zeros keeps every bit
-            g = _monomial_act_gaussian(k, s, f, c, not right)
-            live = _live_cells(g, t)
-            out[live] += evaluate(SchwartzVector(theta, g), t[live])
-        else:
-            x = t if right else t + s
-            out += c * np.exp(2j * np.pi * f * x) * _shift_values(k.values, s / h)
+    # an overflow or 0 * inf here is reported by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, n, s, f, c in terms:
+            if isinstance(k, Gaussian):
+                # out starts at +0, so skipping exact zeros keeps every bit
+                g = _monomial_act_gaussian(k, s, f, c, not right)
+                live = _live_cells(g, t)
+                out[live] += evaluate(SchwartzVector(theta, g), t[live])
+            else:
+                live = slice(None)
+                x = t if right else t + s
+                out += c * np.exp(2j * np.pi * f * x) * _shift_values(k.values, s / h)
+            _require_finite(out[live], f"{'right' if right else 'left'} action, "
+                                       f"term U^{m} V^{n}")
     return SchwartzVector(theta, Sampled(L, out))
 
 
@@ -244,7 +263,8 @@ def _overlap_matrix(first: SchwartzVector, second: SchwartzVector,
     """I[i, j] = integral first(t) * conj(second(t + shifts[i])) * exp(i freqs[j] t) dt.
 
     Closed form when both vectors are Gaussians, trapezoidal quadrature on a
-    shared grid otherwise.
+    shared grid otherwise, which raises NonFiniteError when first's samples
+    or a sampled second's values are not finite.
     """
     f, s = first.kind, second.kind
     if isinstance(f, Gaussian) and isinstance(s, Gaussian):
@@ -265,6 +285,9 @@ def _overlap_matrix(first: SchwartzVector, second: SchwartzVector,
     t = np.linspace(-L, L, points)
     h = 2.0 * L / (points - 1)
     fvals = evaluate(first, t)
+    _require_finite(fvals, "grid quadrature, first vector")
+    if isinstance(s, Sampled):
+        _require_finite(s.values, "grid quadrature, second vector")
     rows = np.zeros((len(shifts), points), dtype=complex)
     for i, sh in enumerate(shifts):
         if isinstance(s, Gaussian):
@@ -468,15 +491,19 @@ def build_instanton(theta: float, lam: complex = 0.0, tol: Tolerance = DEFAULT_T
     module's action conventions, i.e. a Gaussian of width 1/theta.  The
     projection is p = <xi . b^{-1}, xi>_A with b = <xi, xi>_B, reported on
     [-box, box]^2 with the boundary-ring mass recorded as the truncation
-    report.  Raises EmptyProjectionError when p keeps no coefficient or its
-    tail is not finite (a NaN or infinite overlap entry keeps nothing).
+    report.  Raises EmptyProjectionError when xi . b^{-1} has a sample that
+    is not finite (before any quadrature), or when p keeps no coefficient or
+    its tail is not finite.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0, 1)")
     xi = gaussian_vector(theta, lam=lam, width=1.0 / theta)
     gram = inner_B(xi, xi, tol)
     ginv, res, its, seed = invert_positive_with_stats(gram, tol)
-    p = inner_A(act_right(xi, ginv, L=L, points=points), xi, tol, box=box)
+    try:
+        p = inner_A(act_right(xi, ginv, L=L, points=points), xi, tol, box=box)
+    except NonFiniteError as exc:
+        raise EmptyProjectionError(f"empty projection: {exc}") from exc
     if not p.box.size or not math.isfinite(p.tail_l1):
         raise EmptyProjectionError(f"empty projection (tail_l1={p.tail_l1!r})")
     converged = p.tail_l1 <= tol.truncation_eps * max(1.0, l1_norm(p))

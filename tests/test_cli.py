@@ -315,7 +315,7 @@ def test_models_chiral_values_are_those_of_the_monomial(capsys):
 
 
 def test_empty_projection_gives_exit_3(capsys):
-    # at theta = 0.5 the grid pipeline loses every coefficient today
+    # at theta = 0.5 the first term of b^{-1} overflows in the grid right action today
     code, out = run_cli(capsys, "--theta", "0.5", "--trunc", "8", "instanton")
     assert code == EXIT_NUMERICAL
     data = json.loads(out)

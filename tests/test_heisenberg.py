@@ -2,10 +2,11 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from nctorus import heisenberg as hb
 from nctorus.algebra import (
@@ -192,6 +193,19 @@ def test_action_rejects_the_other_sides_theta(theta, right):
         act(monomial(wrong, 1, 0), gaussian_vector(theta))
 
 
+@pytest.mark.parametrize("right", [False, True])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sampled_action_shifted_past_the_grid_end_is_zero(right, sign):
+    # a translation by 41 is 410 steps of a 401-sample grid of step 0.1
+    theta = 0.2
+    xi = as_sampled(gaussian_vector(theta, width=5.0), L=20.0, points=401)
+    if right:
+        out = act_right(xi, monomial(dual_theta(theta), sign * 41, 0))
+    else:
+        out = act_left(monomial(theta, sign * 205, 0), xi)
+    assert len(out.kind.values) == 401 and not out.kind.values.any()
+
+
 # ------------------------------------------------------------- inner products
 
 
@@ -275,6 +289,20 @@ def test_inner_product_box_cap_is_loud(monkeypatch):
     monkeypatch.setattr(hb, "BOX_CAP", 1)
     with pytest.raises(ConvergenceError, match="cap 1 "):
         inner_B(xi, xi)
+
+
+def test_grid_quadrature_refuses_a_non_finite_sample():
+    # unchecked, one NaN sample makes every entry NaN and the element empty
+    xi = gaussian_vector(0.2, width=1.0)
+    vals = as_sampled(xi, L=20.0, points=401).kind.values.copy()
+    vals[200] = np.nan
+    bad = SchwartzVector(0.2, Sampled(20.0, vals))
+    for which, call in [("first", lambda: inner_A(bad, xi, TOL, box=4)),
+                        ("first", lambda: inner_A(bad, xi, TOL)),
+                        ("first", lambda: inner_B(xi, bad, TOL)),
+                        ("second", lambda: inner_B(bad, xi, TOL))]:
+        with pytest.raises(hb.NonFiniteError, match=f"{which} vector: 1 of 401 grid"):
+            call()
 
 
 def test_inner_b_positive_selfadjoint():
@@ -376,19 +404,27 @@ def _overlap_on_full_grid(first, second, shifts, freqs):
 @settings(max_examples=25, deadline=None, database=None)
 @given(theta=st.floats(0.05, 0.95), s=st.integers(0, 10**6), right=st.booleans(),
        lam_im=st.floats(-3.0, 3.0), spread=st.sampled_from([2, 12, 40]))
+# the instanton's overflow regime: here the full-grid oracle is not finite
+@example(theta=0.5, s=0, right=True, lam_im=0.0, spread=40)
 def test_gaussian_grid_evaluation_skips_only_exact_zeros(theta, s, right, lam_im, spread):
-    """Skipping the cells where a Gaussian underflows changes no bit.  The
-    instanton's width 1/theta and translations up to 40 reach the regime of
-    theta >= 0.35, where a term's C underflows to 0 while its exp overflows."""
+    """Skipping the cells where a Gaussian underflows changes no bit, and the
+    action raises NonFiniteError exactly when the full-grid sum is not
+    finite.  The instanton's width 1/theta and translations up to 40 reach
+    the regime of theta >= 0.35, where a term's C underflows to 0 while its
+    exp overflows."""
     L, points = 20.0, 801
     xi = gaussian_vector(theta, lam=complex(0.3, lam_im), C=1.3 - 0.4j, width=1.0 / theta)
     rng = np.random.default_rng(s)
     coeffs = {(int(rng.integers(-spread, spread + 1)), int(rng.integers(-3, 4))):
               complex(*rng.normal(size=2)) for _ in range(6)}
     a = TorusElement(dual_theta(theta) if right else theta, coeffs)
-    got = hb._act(a, xi, right, L, points).kind.values
     want = _act_on_full_grid(a, xi, right, L, points)
-    assert got.tobytes() == want.tobytes()
+    if np.isfinite(want).all():
+        got = hb._act(a, xi, right, L, points).kind.values
+        assert got.tobytes() == want.tobytes()
+    else:
+        with pytest.raises(hb.NonFiniteError):
+            hb._act(a, xi, right, L, points)
 
     # rows of xi against a finite sampled vector; + 0 only merges signed zeros
     first = as_sampled(gaussian_vector(theta, lam=0.2, width=1.0), L=L, points=points)
@@ -476,10 +512,25 @@ def test_instanton_theta_out_of_range():
         build_instanton(1.2, 0.0, TOL, box=8)
 
 
-def test_instanton_raises_on_an_empty_projection():
-    # at theta = 0.5 the grid pipeline loses every coefficient today
-    with pytest.raises(hb.EmptyProjectionError, match="empty projection"):
-        build_instanton(0.5, 0.0, TOL, box=8)
+def test_instanton_raises_on_an_empty_projection(monkeypatch):
+    # at theta >= 0.35 the first term of b^{-1} overflows in the grid right
+    # action: the build stops there, before any grid inner product, and
+    # prints no overflow warning
+    calls = []
+
+    def counting_inner_A(*args, **kwargs):
+        calls.append(args)
+        return inner_A(*args, **kwargs)
+
+    monkeypatch.setattr(hb, "inner_A", counting_inner_A)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for theta in (0.35, 0.5, 0.95):
+            with pytest.raises(hb.EmptyProjectionError,
+                               match=r"^empty projection: right action, term U\^"):
+                build_instanton(theta, 0.0, TOL, box=8)
+    assert calls == []
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_instanton_reports_unconverged_tail_at_tiny_box():
