@@ -37,6 +37,10 @@ TWO_PI = 2.0 * math.pi
 # The adaptive inner products stop at [-512, 512]^2, about 1.05 M cells.
 MAX_BOX_CELLS = 1 << 22
 
+# exp_i prunes every series term and its result at this modulus relative to
+# the peak; products with its result may be pruned at the same precision.
+EXP_I_PRECISION = 1e-17
+
 
 class CompositionError(ValueError):
     """Raised when two elements with different deformation parameters meet."""
@@ -598,20 +602,31 @@ def prune(a: TorusElement, rel_threshold: float = 1e-16) -> TorusElement:
 def exp_i(h: TorusElement, t: float = 1.0, max_order: int = 60) -> TorusElement:
     """exp(i t h) by power series with per-term pruning; unitary for h = h*.
 
-    The series is stopped once the incoming term's l1 norm is below 1e-15
-    relative to the accumulated l1 mass; ConvergenceError is raised when
-    that has not happened after max_order terms.  Per-term pruning keeps the
-    support from growing linearly with the series order.
+    Each series term and the result are pruned at EXP_I_PRECISION relative
+    to their peak.  The series is stopped once the incoming term's l1 norm
+    is below 1e-15 relative to the accumulated l1 mass; ConvergenceError is
+    raised when that has not happened after max_order terms, or when a term
+    is not finite before pruning (prune would drop it and the series would
+    look converged).  A non-finite t or coefficient of h is a ValueError.
+    Per-term pruning keeps the support from growing linearly with the
+    series order.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"exp_i: t must be finite, got {t!r}")
+    if not np.isfinite(h.box).all():
+        raise ValueError("exp_i: h has non-finite coefficients")
     ith = scale(1j * t, h)
     term = acc = one(h.theta)
     term_l1 = acc_l1 = 1.0
     for k in range(1, max_order + 1):
-        term = prune(scale(1.0 / k, mul(term, ith)), 1e-17)
+        term = scale(1.0 / k, mul(term, ith))
+        if not np.isfinite(term.box).all():
+            raise ConvergenceError(f"exp_i: series term of order {k} is not finite")
+        term = prune(term, EXP_I_PRECISION)
         acc = add(acc, term)
         term_l1, acc_l1 = l1_norm(term), l1_norm(acc)
         if term_l1 <= 1e-15 * max(1.0, acc_l1):
-            return prune(acc, 1e-17)
+            return prune(acc, EXP_I_PRECISION)
     raise ConvergenceError(
         f"exp_i: series not converged after {max_order} terms "
         f"(last term l1 {term_l1:.3e}, sum l1 {acc_l1:.3e})")

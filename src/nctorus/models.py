@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .algebra import (
     DEFAULT_TOL,
+    EXP_I_PRECISION,
     Tolerance,
     TorusElement,
     add,
@@ -431,11 +432,24 @@ def first_variation_check(model: str, x: TorusElement, h: TorusElement,
     """(centered finite difference, analytic pairing) of the energy at t = 0.
 
     chiral: along W_t = exp(i t h) x.  ising: along p_t = exp(i t h) x
-    exp(-i t h).  The two agree to O(step^2).
+    exp(-i t h).  The two agree to O(step^2).  step must be finite and > 0.
+
+    In the chiral branch W_t is pruned at EXP_I_PRECISION, the precision of
+    exp_i itself, before its energy is taken.  The energy is diagonal in the
+    monomial basis, L_D(W) = sum_k 4 pi^2 |k|^2 |W_k|^2, since
+    tau(a* a) = sum |a_k|^2; so pruning moves it by exactly
+    sum_dropped 4 pi^2 |k|^2 |c_k|^2, about 1e-30 relative, while the ring
+    of near-zero cells the factor exp(i t h) adds around x's box goes, and
+    with it most of the cost of chiral_energy's two products.  The ising
+    branch is left as it is: its energy is read through trace_product, so
+    it forms no large product of p_t, and pruning its w x saved only 10 to
+    18 % of its test's time.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
     if model == "chiral":
         def energy(t):
-            return chiral_energy(mul(exp_i(h, t), x))
+            return chiral_energy(prune(mul(exp_i(h, t), x), EXP_I_PRECISION))
 
         pairing = chiral_variation_pairing(x, h)
     elif model == "ising":

@@ -433,6 +433,32 @@ def test_exp_i_raises_when_the_series_hits_its_cap():
         exp_i(h, max_order=3)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_exp_i_rejects_a_non_finite_t(t):
+    # prune drops non-finite cells, so the series used to stop on an empty
+    # term and return the identity
+    h = random_selfadjoint(THETA, 1, seed=3)
+    with pytest.raises(ValueError, match="t must be finite"):
+        exp_i(h, t)
+
+
+def test_exp_i_rejects_a_non_finite_coefficient():
+    # used to return a unitary-looking 31-term element without that cell
+    h = random_selfadjoint(THETA, 1, seed=3)
+    box = h.box.copy()
+    box[1, 1] = complex(math.nan, 0.0)
+    with pytest.raises(ValueError, match="non-finite coefficients"):
+        exp_i(TorusElement.from_box(THETA, h.offset, box), 0.5)
+
+
+def test_exp_i_raises_at_the_first_non_finite_term():
+    # used to return 1 + i t h, nine coefficients of size ~1e299
+    h = random_selfadjoint(THETA, 1, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="term of order 2 is not finite"):
+            exp_i(h, 1e300)
+
+
 def test_json_round_trip_bit_exact():
     a = random_element(THETA, 4, 123, terms=7)
     b = from_json(to_json(a))

@@ -1,6 +1,8 @@
 """Energy functionals, EL residuals, constraint solvers, variational checks."""
 
+import importlib
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -548,6 +550,65 @@ def test_first_variation_second_order_ising(inst):
         fd, pairing = first_variation_check("ising", inst, h, step)
         errs.append(abs(fd - pairing))
     assert errs[0] / errs[1] > 3.5
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
+def test_first_variation_rejects_a_step_that_is_not_finite_and_positive(step):
+    # step 0 used to divide by zero, nan gave (nan, 0.0) and inf (0.0, 0.0)
+    w = mul(exp_i(random_selfadjoint(THETA, 1, 5), 0.2), monomial(THETA, 1, 0))
+    for model in ("chiral", "ising"):
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            first_variation_check(model, w, random_selfadjoint(THETA, 1, 6), step)
+
+
+def _unpruned_chiral_fd(x, h, step):
+    def energy(t):
+        return chiral_energy(mul(exp_i(h, t), x))
+
+    return (energy(step) - energy(-step)) / (2.0 * step)
+
+
+@seed(41)
+@settings(max_examples=20, deadline=None, database=None)
+@given(theta=st.floats(0.05, 0.95), box=st.sampled_from([1, 2]), s=st.integers(0, 10**6),
+       l1=st.floats(0.1, 5.0), m=st.integers(-2, 2), n=st.integers(-2, 2))
+def test_chiral_first_variation_prunes_to_the_same_difference(theta, box, s, l1, m, n):
+    """W_t is pruned at exp_i's precision before its energy is taken; the
+    difference matches the one of the exact products, and the pairing."""
+    h0 = random_selfadjoint(theta, box, s)
+    x = mul(exp_i(h0, l1 / l1_norm(h0)), monomial(theta, m, n))
+    h = random_selfadjoint(theta, 1, s + 1)
+    step = 1e-3
+    fd, pairing = first_variation_check("chiral", x, h, step)
+    assert abs(fd - _unpruned_chiral_fd(x, h, step)) <= 1e-12 * max(1.0, abs(fd))
+    assert abs(fd - pairing) <= 10 * step**2 * max(1.0, abs(pairing))
+
+
+def test_chiral_first_variation_takes_energies_on_the_box_of_x(monkeypatch):
+    # the benchmark's box-2 input at l1 4.5: W_t = exp(i t h) x is 63 x 61
+    # before pruning, 55 x 53 (the box of x) after
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    h, t, direction = dict(workloads.flow_inputs(1))["box2-l1=4.5-0"]
+    x = exp_i(h, t)
+    assert x.box.shape == (55, 53)
+    assert mul(exp_i(direction, 1e-3), x).box.shape == (63, 61)
+    shapes = []
+
+    def spy(W):
+        shapes.append(W.box.shape)
+        return chiral_energy(W)
+
+    monkeypatch.setattr(models, "chiral_energy", spy)
+    first_variation_check("chiral", x, direction, 1e-3)
+    assert shapes == [(55, 53), (55, 53)]
+
+
+def test_descent_rejects_a_nan_rate():
+    # used to return four equal energies with stagnated=False
+    x = mul(exp_i(random_selfadjoint(THETA, 1, 3), 0.3), monomial(THETA, 1, 0))
+    with pytest.raises(ValueError, match="t must be finite"):
+        energy_descent(x, 3, rate=math.nan)
 
 
 def test_descent_fixed_at_critical_point():
