@@ -22,9 +22,16 @@ Everything here is pure: no operation mutates its inputs.
 from __future__ import annotations
 
 import cmath
+import ctypes
+import hashlib
 import json
 import math
+import os
+import shutil
+import subprocess
+import tempfile
 from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, islice
 from types import MappingProxyType
@@ -140,9 +147,12 @@ class TorusElement:
                  tail_l1: float = 0.0) -> TorusElement:
         """The element with coefficient box[i, j] at U^(m0 + i) V^(n0 + j).
 
-        Takes ownership of box, a writable complex array: it is cropped to its
-        nonzero cells, its zero cells are set to +0, and it is made read-only.
+        Takes ownership of box, a writable complex array (copied first unless
+        C-ordered complex128, the layout mul's kernel reads): it is cropped to
+        its nonzero cells, its zero cells are set to +0, and it is made
+        read-only.
         """
+        box = np.ascontiguousarray(box, dtype=complex)
         _check_cells(box.shape)
         el = object.__new__(cls)
         _fill(el, theta, *_crop((int(offset[0]), int(offset[1])), box), tail_l1)
@@ -301,8 +311,8 @@ def _twist(theta: float, l: int, m: int) -> complex:
 def mul_reference(a: TorusElement, b: TorusElement) -> TorusElement:
     """Twisted convolution as the plain double loop over supports.
 
-    This is the reference path; mul() vectorizes the same accumulation order
-    and must agree with it bit for bit (asserted in the test suite).
+    This is the oracle; mul() compiles the same accumulation order and must
+    agree with it bit for bit (asserted in the test suite).
     """
     _check_same_theta(a, b)
     theta = a.theta
@@ -315,16 +325,15 @@ def mul_reference(a: TorusElement, b: TorusElement) -> TorusElement:
     return TorusElement(theta, out, tail_l1=a.tail_l1 + b.tail_l1)
 
 
-def _twist_table(theta: float, ls: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of _twist(theta, l, m) over the grid ls x ms.
+def _twist_table(theta: float, ls: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """_twist(theta, l, m) over the grid ls x ms, a C-ordered complex array.
 
     The phase depends on l * m only, so each distinct product is evaluated
     once, by the same scalar routine as mul_reference.
     """
     prods, where = np.unique((ls[:, None] * ms[None, :]).ravel(), return_inverse=True)
     phase = np.array([_twist(theta, p, 1) for p in prods.tolist()], dtype=complex)
-    ph = phase[where].reshape(len(ls), len(ms))
-    return ph.real.copy(), ph.imag.copy()
+    return phase[where].reshape(len(ls), len(ms))
 
 
 def _index_range(a: TorusElement, axis: int) -> np.ndarray:
@@ -333,106 +342,77 @@ def _index_range(a: TorusElement, axis: int) -> np.ndarray:
     return np.arange(start, start + a.box.shape[axis])
 
 
-# Fixed cost of one accumulation step in mul (a few numpy calls), in units
-# of the cost of one dense output cell of a block step; with _SCATTER_CELL it
-# decides which operand mul loops over.  Timing steps on boxes from 3 x 3 to
-# 55 x 65 (numpy 2.4, 2-vCPU Xeon) put it between 500 and 1000 cells.
-_STEP_CELLS = 600
-# Cost of one output cell of a scatter step, in the same units.  Its three
-# multiplies broadcast a row of y over a's box, and each costs about four
-# times a multiply by a scalar.  Timing step bodies on boxes from 3 x 3 to
-# 65 x 65 (same machine) put the per-cell ratio between 1.4 and 2.0; a fit to
-# whole products on both paths put it at 1.4, with a scatter step's fixed
-# cost nearly twice a block step's.  With 1.6, operands of about the same
-# size take the block path, the faster one on each such product of 13 x 13
-# or more in the benchmark's workloads (p Lap p at box 32: 50 ms against
-# 76 ms); on smaller boxes the two paths differ by less than the noise.
-_SCATTER_CELL = 1.6
+# Flags of the product kernel.  -ffp-contract=off stops the compiler fusing
+# x * y + z into one rounding (FMA); -ffast-math, -Ofast and -march=native
+# stay out, since each lets it change the IEEE operations that keep mul's bits.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _load_twmul():
+    """The product kernel _twmul.c, built with cc into
+    __pycache__/_twmul-<sha256 of source and flags>.so unless already there."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_twmul.c")
+    with open(src, "rb") as fh:
+        key = hashlib.sha256(fh.read() + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    cache = os.path.join(os.path.dirname(src), "__pycache__")
+    lib = os.path.join(cache, f"_twmul-{key}.so")
+    if not os.path.exists(lib):
+        cc = shutil.which("cc")
+        if cc is None:
+            raise ImportError("nctorus builds its product kernel _twmul.c with a C "
+                              "compiler, and no cc is on PATH")
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            built = subprocess.run([cc, *_CFLAGS, "-o", tmp, src], capture_output=True, text=True)
+            if built.returncode:
+                raise ImportError(f"cc could not build {src}:\n{built.stderr}")
+            os.replace(tmp, lib)
+        finally:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
+    fn = ctypes.CDLL(lib).twmul
+    ptr, n = ctypes.c_void_p, ctypes.c_long
+    fn.argtypes = (ptr, n, n, ptr, n, n, ptr, ptr, ptr)
+    fn.restype = None
+    return fn
+
+
+_twmul = _load_twmul()
 
 
 def mul(a: TorusElement, b: TorusElement) -> TorusElement:
     """Twisted convolution over the support sumset; exact, no truncation.
 
-    Per output cell, mul_reference adds the products a_i b_j in ascending
-    order of the left index i, which is descending order of the right index
-    j.  This routine keeps that sequence, so the two paths agree bitwise, and
-    loops over whichever operand is cheaper:
-
-    * block path: one step per left term, ascending, each adding
-      a_i * (phase * b) over the box of b;
-    * scatter path: one step per right term, descending, each adding
-      a * (phase * b_j) over the box of a.
-
-    Real and imaginary parts are carried as separate planes, with the naive
-    complex multiply formula: separate numpy ufunc calls round exactly like
-    CPython's scalar complex arithmetic.
+    The compiled kernel adds a_i * (phase * b_j) into each output cell over
+    the left terms i in ascending order, with CPython's complex multiply and
+    add, so it agrees with mul_reference bit for bit (asserted in the test
+    suite).
     """
     _check_same_theta(a, b)
-    na, nb = a._size, b._size
-    if na * nb <= 512:
-        return mul_reference(a, b)
-    theta = a.theta
-    a_shape, b_shape = a.box.shape, b.box.shape
-    out_shape = (a_shape[0] + b_shape[0] - 1, a_shape[1] + b_shape[1] - 1)
-    _check_cells(out_shape)
+    tail = a.tail_l1 + b.tail_l1
+    if not (a._size and b._size):
+        return TorusElement(a.theta, {}, tail_l1=tail)
+    (ah, aw), (bh, bw) = a.box.shape, b.box.shape
+    shape = (ah + bh - 1, aw + bw - 1)
+    _check_cells(shape)
     # tw[l, m] = _twist(theta, l, m) for l over a's columns, m over b's rows
-    tw_re, tw_im = _twist_table(theta, _index_range(a, 1), _index_range(b, 0))
-    # Each step adds x * y to the output box at (row, col), with the complex
-    # multiply split into planes as CPython does it:
-    #     (x_re * y_re, x_re * y_im) + (-x_im * y_im, x_im * y_re),
-    # and is given as (x_re, (y_re, y_im), -x_im, y_im, x_im, y_re, row, col).
-    if _scatter_is_cheaper(na, a_shape, nb, b_shape):
-        # x: the planes of a; y: phase * b_j over a's columns
-        x_re, x_im = np.ascontiguousarray(a.box.real), np.ascontiguousarray(a.box.imag)
-        rows, cols = (r[::-1] for r in np.nonzero(b.box))
-        b_val = b.box[rows, cols]
-        t_re, t_im = tw_re[:, rows].T, tw_im[:, rows].T
-        y = np.stack(_cmul(t_re, t_im, b_val.real[:, None], b_val.imag[:, None]), axis=1)
-        neg_x_im = -x_im
-        steps = ((x_re, y[j, :, None], neg_x_im, y[j, 1], x_im, y[j, 0], r, c)
-                 for j, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())))
-        shape = a_shape
-    else:
-        # x: a_i; y: phase * b over b's box, one per column l of a
-        b_re, b_im = b.box.real, b.box.imag
-        rows, cols = np.nonzero(a.box)
-        a_val = a.box[rows, cols]
-        ys = {}
-        for l in set(cols.tolist()):
-            y = np.stack(_cmul(tw_re[l][:, None], tw_im[l][:, None], b_re, b_im))
-            ys[l] = (y, y[1], y[0])
-        steps = ((x_re, ys[c][0], -x_im, ys[c][1], x_im, ys[c][2], r, c)
-                 for x_re, x_im, r, c in zip(a_val.real.tolist(), a_val.imag.tolist(),
-                                             rows.tolist(), cols.tolist()))
-        shape = b_shape
-    out = np.zeros((2,) + out_shape)
-    acc = np.empty((2,) + shape)
-    cross = np.empty((2,) + shape)
-    cross_re, cross_im = cross
-    h, w = shape
-    for p1, q1, p2, q2, p3, q3, r, c in steps:
-        np.multiply(q1, p1, out=acc)
-        np.multiply(q2, p2, out=cross_re)
-        np.multiply(q3, p3, out=cross_im)
-        acc += cross
-        out[:, r:r + h, c:c + w] += acc
+    tw = _twist_table(a.theta, _index_range(a, 1), _index_range(b, 0))
+    y = np.empty((aw, bh, bw), dtype=complex)
+    out = np.zeros(shape, dtype=complex)
+    _twmul(a.box.ctypes.data, ah, aw, b.box.ctypes.data, bh, bw,
+           tw.ctypes.data, y.ctypes.data, out.ctypes.data)
     offset = (a.offset[0] + b.offset[0], a.offset[1] + b.offset[1])
-    return _from_planes(theta, offset, out[0], out[1], a.tail_l1 + b.tail_l1)
-
-
-def _scatter_is_cheaper(na: int, a_shape: tuple[int, int], nb: int, b_shape: tuple[int, int]) -> bool:
-    """Whether looping over the nb right terms (each step covering a's dense
-    box) costs less than looping over the na left terms (each covering b's)."""
-    return (nb * (_STEP_CELLS + _SCATTER_CELL * a_shape[0] * a_shape[1])
-            < na * (_STEP_CELLS + b_shape[0] * b_shape[1]))
+    return TorusElement.from_box(a.theta, offset, out, tail)
 
 
 def adjoint(a: TorusElement) -> TorusElement:
     """Involution: (a*)_{m,n} = conj(a_{-m,-n}) exp(-2 pi i theta m n)."""
     if not a._size:
         return a
-    t_re, t_im = _twist_table(a.theta, _index_range(a, 0), _index_range(a, 1))
-    re, im = _cmul(a.box.real, -a.box.imag, t_re, t_im)
+    tw = _twist_table(a.theta, _index_range(a, 0), _index_range(a, 1))
+    re, im = _cmul(a.box.real, -a.box.imag, tw.real, tw.imag)
     (m0, n0), (h, w) = a.offset, a.box.shape
     return _from_planes(a.theta, (-(m0 + h - 1), -(n0 + w - 1)),
                         re[::-1, ::-1], im[::-1, ::-1], a.tail_l1)
@@ -469,8 +449,8 @@ def trace_product(a: TorusElement, b: TorusElement) -> complex:
     x = a.box[m_lo - am:m_hi - am + 1, n_lo - an:n_hi - an + 1]
     z = b.box[-m_hi - bm:-m_lo - bm + 1, -n_hi - bn:-n_lo - bn + 1][::-1, ::-1]
     # phase _twist(theta, n, -m), a function of -m n
-    t_re, t_im = _twist_table(a.theta, -np.arange(m_lo, m_hi + 1), np.arange(n_lo, n_hi + 1))
-    y_re, y_im = _cmul(t_re, t_im, z.real, z.imag)
+    tw = _twist_table(a.theta, -np.arange(m_lo, m_hi + 1), np.arange(n_lo, n_hi + 1))
+    y_re, y_im = _cmul(tw.real, tw.imag, z.real, z.imag)
     re, im = _cmul(x.real, x.imag, y_re, y_im)
     both = (x != 0) & (z != 0)
     # the running total starts at the float 0.0, as in a Python loop
@@ -516,7 +496,8 @@ def norms(a: TorusElement) -> tuple[float, float]:
 
 
 def l1_norm(a: TorusElement) -> float:
-    return norms(a)[0]
+    """norms(a)[0], without forming the squares (which overflow above ~1e154)."""
+    return _seqsum(_moduli(a.box))
 
 
 def gns_norm(a: TorusElement) -> float:

@@ -5,12 +5,12 @@ import copy
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from nctorus import algebra
 from nctorus.algebra import (
     DEFAULT_TOL,
     MAX_BOX_CELLS,
@@ -156,7 +156,6 @@ def test_mul_is_deterministic_bitwise():
 def test_vectorized_mul_bit_identical_to_reference():
     from nctorus.algebra import mul_reference
 
-    # large enough supports to engage the dense path
     a = random_element(THETA, 4, 13, terms=40)
     b = random_element(THETA, 4, 14, terms=40)
     assert len(a.coeffs) * len(b.coeffs) > 512
@@ -180,69 +179,118 @@ def _box_element(theta, rows, cols, terms, seed_):
                                 for k in corners + rest})
 
 
-def _box_shape(a):
-    ms = [m for m, _ in a.coeffs]
-    ns = [n for _, n in a.coeffs]
-    return max(ms) - min(ms) + 1, max(ns) - min(ns) + 1
-
-
-def _scatters(a, b):
-    return algebra._scatter_is_cheaper(len(a.coeffs), _box_shape(a),
-                                       len(b.coeffs), _box_shape(b))
-
-
 @seed(17)
 @ACROSS
 @given(theta=THETA_RANGE, s=st.integers(0, 10**6))
 def test_mul_bit_identical_to_reference_on_both_paths(theta, s):
-    """Large x small takes the scatter path and small x large the block
-    path.  On one box, a right operand with about half the terms of the
-    left takes the scatter path, while two operands of nearly the same size
-    take the block path in either order, since a scatter step costs more per
-    cell.  Every operand has negative indices."""
+    """Large x small and small x large, a right operand with about half the
+    terms of the left on one box, and two operands of nearly the same size
+    in either order: the shapes that once took different numpy step loops.
+    Every operand has negative indices."""
     big = _box_element(theta, range(-7, 6), range(-5, 8), 120, s)
     small = _box_element(theta, range(-1, 2), range(-2, 1), 7, s + 1)
     near = _box_element(theta, range(-7, 6), range(-5, 8), 116, s + 2)
     half = _box_element(theta, range(-7, 6), range(-5, 8), 60, s + 3)
-    cases = [(big, small, True), (small, big, False), (big, half, True),
-             (big, near, False), (near, big, False)]
-    for a, b, scatter in cases:
-        assert len(a.coeffs) * len(b.coeffs) > 512
-        assert _scatters(a, b) is scatter
+    for a, b in [(big, small), (small, big), (big, half), (big, near), (near, big)]:
         assert mul(a, b).coeffs == mul_reference(a, b).coeffs
 
 
 def test_near_tie_products_take_the_block_path():
-    """The instanton's p Lap p and Lap p p, operands of the same size, take
-    the block path; exp_i's products of a box-19 element with a 3 x 3 one
-    stay on the scatter path."""
+    """The instanton's p Lap p and Lap p p, operands of the same size, and
+    exp_i's products of a box-19 element with a 3 x 3 one.  The first two
+    are too large for the pure-Python reference, so their (0, 0) cells are
+    checked against trace_product, which adds in the same order."""
     p = build_instanton(0.2, 0.0, DEFAULT_TOL, box=32).projection
     lp = laplacian(p)
-    assert not _scatters(p, lp) and not _scatters(lp, p)
+    assert trace(mul(p, lp)) == trace_product(p, lp)
+    assert trace(mul(lp, p)) == trace_product(lp, p)
     large = _box_element(0.2, range(-9, 10), range(-9, 10), 361, 5)
     h = _box_element(0.2, range(-1, 2), range(-1, 2), 9, 6)
-    assert _scatters(large, h)
+    assert mul(large, h).coeffs == mul_reference(large, h).coeffs
+    assert mul(h, large).coeffs == mul_reference(h, large).coeffs
 
 
 @seed(19)
 @ACROSS
 @given(theta=THETA_RANGE, s=st.integers(0, 10**6))
 def test_mul_bit_identical_to_reference_across_the_path_threshold(theta, s):
-    """The right operand grows term by term on a fixed box until mul stops
-    looping over it; both products at the switch match the reference."""
+    """A right operand of 32 and of 33 terms on a 7 x 7 box against a left
+    one of 40 terms on 11 x 11: the two sides of the former switch between
+    numpy step loops.  Both products, in both orders, match the reference."""
     a = _box_element(theta, range(-5, 6), range(-6, 5), 40, s)
     rows, cols = range(-3, 4), range(-4, 3)
-    b = None
-    for terms in range(2, len(rows) * len(cols) + 1):
-        nxt = _box_element(theta, rows, cols, terms, s + 1)
-        if b is not None and _scatters(a, b) and not _scatters(a, nxt):
-            break
-        b = nxt
-    else:
-        pytest.fail("the scatter/block switch was not crossed")
-    for right in (b, nxt):
+    for terms in (32, 33):
+        right = _box_element(theta, rows, cols, terms, s + 1)
         assert mul(a, right).coeffs == mul_reference(a, right).coeffs
         assert mul(right, a).coeffs == mul_reference(right, a).coeffs
+
+
+def _kernel_operand(rng, theta, shape):
+    """Random element filling about 60 % of a box of the given shape, corners
+    kept, at an offset that may be negative.  Its parts have moduli over 40
+    decades, and three cells in five have a zero part: -0.0 in two of them."""
+    h, w = shape
+    m0, n0 = (int(v) for v in rng.integers(-8, 3, size=2))
+    keep = rng.random((h, w)) < 0.6
+    keep[0, 0] = keep[-1, -1] = True
+    out = {}
+    for i, j in zip(*np.nonzero(keep)):
+        re, im = rng.standard_normal(2) * 10.0 ** rng.uniform(-20, 20, size=2)
+        kind = rng.integers(5)
+        if kind == 0:
+            re = -0.0
+        elif kind == 1:
+            im = -0.0
+        elif kind == 2:
+            re = 0.0
+        out[(m0 + int(i), n0 + int(j))] = complex(re, im)
+    return TorusElement(theta, out)
+
+
+def _same_product(a, b):
+    """mul and mul_reference give the same keys, in the same order, with the
+    same value reprs (sign of zero included) and the same tail."""
+    got, want = mul(a, b), mul_reference(a, b)
+    return (list(got.coeffs) == list(want.coeffs)
+            and [repr(c) for c in got.coeffs.values()] == [repr(c) for c in want.coeffs.values()]
+            and got.tail_l1 == want.tail_l1)
+
+
+# 1 x 1, single rows and columns, exp_i's 3 x 3 and a large box
+KERNEL_SHAPES = [(1, 1), (1, 9), (8, 1), (3, 3), (5, 7), (17, 15)]
+
+
+@seed(29)
+@settings(max_examples=15, deadline=None, database=None)
+@given(theta=THETA_RANGE, s=st.integers(0, 10**6))
+def test_mul_kernel_is_the_reference_bit_for_bit(theta, s):
+    """Every ordered pair of shapes, large x 3 x 3 and 3 x 3 x large among
+    them, and a product with exact cancellations: (c - c U) b, where b has
+    two equal adjacent rows, cancels along one row of the result."""
+    rng = np.random.default_rng(s)
+    ops = [_kernel_operand(rng, theta, shape) for shape in KERNEL_SHAPES]
+    for a in ops:
+        for b in ops:
+            assert _same_product(a, b)
+    c = complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-20, 20)
+    k = int(rng.integers(-5, 5))
+    a = TorusElement(theta, {(k, 0): c, (k + 1, 0): -c})
+    rows = dict(_kernel_operand(rng, theta, (5, 7)).coeffs)
+    m0 = min(m for m, _ in rows)
+    rows.update({(m + 1, n): v for (m, n), v in rows.items() if m == m0})
+    b = TorusElement(theta, rows)
+    sumset = {(p + m, q + n) for p, q in a.coeffs for m, n in b.coeffs}
+    assert len(mul_reference(a, b).coeffs) < len(sumset)
+    assert _same_product(a, b)
+
+
+def test_mul_kernel_spreads_non_finite_cells_as_the_reference_does():
+    """A non-finite left cell meets only the right operand's nonzero cells,
+    as in mul_reference; inf times a zero cell would put NaN elsewhere."""
+    a = TorusElement(THETA, {(0, 0): complex(math.inf, 1.0), (0, 2): complex(1.0, math.nan),
+                             (1, 1): 2.0 - 1j})
+    b = TorusElement(THETA, {(-1, 0): 1.0 + 1j, (1, 2): -0.5j, (0, 1): complex(0.0, -math.inf)})
+    assert _same_product(a, b) and _same_product(b, a)
 
 
 @seed(23)
@@ -376,6 +424,21 @@ def test_gns_dominated_by_l1():
         a = random_element(THETA, 5, 500 + seed, terms=9)
         l1, gns = norms(a)
         assert gns <= l1 + 1e-15
+
+
+@seed(41)
+@settings(max_examples=30, deadline=None, database=None)
+@given(theta=THETA_RANGE, s=st.integers(0, 10**6), shape=st.sampled_from(KERNEL_SHAPES))
+def test_l1_norm_is_the_l1_part_of_norms(theta, s, shape):
+    a = _kernel_operand(np.random.default_rng(s), theta, shape)
+    assert l1_norm(a).hex() == norms(a)[0].hex()
+
+
+def test_l1_norm_of_a_huge_coefficient_is_finite_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert l1_norm(monomial(THETA, 2, -1, 1e200j)) == 1e200
+        assert l1_norm(add(monomial(THETA, 0, 0, 1e200), monomial(THETA, 1, 0, -3e200))) == 4e200
 
 
 # ------------------------------------------------------- random inputs, scalars
