@@ -4,7 +4,9 @@
         --seed 1 --pairs 10 --seconds 20
 
 Runs `<root>/perfbench/run.py --workload W --seed N --seconds S` K times in
-each tree, alternately and parent first, one process at a time.  For each
+each tree, alternately, one process at a time: the parent runs first in
+odd-numbered pairs and the change first in even-numbered ones, so that
+neither side always runs on the host as the other left it.  For each
 end-to-end metric that the parent's BENCHMARK.json declares it prints the
 median and the quartiles [q1, q3] of each side, in how many of the K pairs
 the change is better (strictly, as the metric's `better` says), by how much
@@ -66,6 +68,25 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> Run:
     if done.returncode:
         sys.stderr.write(done.stderr)
     return parse_run(done.returncode, done.stdout)
+
+
+def run_pairs(roots: tuple[Path, Path], workload: str, seed: int, seconds: float,
+              pairs: int) -> tuple[list[Run], list[Run]]:
+    """(parent runs, change runs) of `pairs` alternated pairs; pair k (from 1)
+    runs the parent first when k is odd and the change first when k is even."""
+    parent, change = [], []
+    for k in range(1, pairs + 1):
+        sides = [(roots[0], parent), (roots[1], change)]
+        if k % 2 == 0:
+            sides.reverse()
+        for root, runs in sides:
+            runs.append(run_once(root, workload, seed, seconds))
+        latency = [r.metrics["latency_s"] if r.metrics else math.nan
+                   for r in (parent[-1], change[-1])]
+        first = "parent" if k % 2 else "change"
+        print(f"pair {k} ({first} first): latency_s parent {latency[0]:.4f}, "
+              f"change {latency[1]:.4f}", flush=True)
+    return parent, change
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -152,14 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 1 and --seconds positive")
     roots = args.parent.resolve(), args.change.resolve()
     metrics = json.loads((roots[0] / "BENCHMARK.json").read_text())["end_to_end"]
-    parent, change = [], []
-    for k in range(args.pairs):
-        for root, runs in zip(roots, (parent, change)):
-            runs.append(run_once(root, args.workload, args.seed, args.seconds))
-        latency = [r.metrics["latency_s"] if r.metrics else math.nan
-                   for r in (parent[-1], change[-1])]
-        print(f"pair {k + 1}: latency_s parent {latency[0]:.4f}, change {latency[1]:.4f}",
-              flush=True)
+    parent, change = run_pairs(roots, args.workload, args.seed, args.seconds, args.pairs)
     lines, ok = report(metrics, parent, change)
     print(f"{args.workload} seed={args.seed} seconds={args.seconds:g} pairs={args.pairs}")
     print("\n".join(lines))

@@ -312,7 +312,8 @@ def mul_reference(a: TorusElement, b: TorusElement) -> TorusElement:
     """Twisted convolution as the plain double loop over supports.
 
     This is the oracle; mul() compiles the same accumulation order and must
-    agree with it bit for bit (asserted in the test suite).
+    agree with it bit for bit (asserted in the test suite), which also checks
+    numpy's exp in phases against the cmath.exp here.
     """
     _check_same_theta(a, b)
     theta = a.theta
@@ -325,15 +326,12 @@ def mul_reference(a: TorusElement, b: TorusElement) -> TorusElement:
     return TorusElement(theta, out, tail_l1=a.tail_l1 + b.tail_l1)
 
 
-def _twist_table(theta: float, ls: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """_twist(theta, l, m) over the grid ls x ms, a C-ordered complex array.
-
-    The phase depends on l * m only, so each distinct product is evaluated
-    once, by the same scalar routine as mul_reference.
-    """
-    prods, where = np.unique((ls[:, None] * ms[None, :]).ravel(), return_inverse=True)
-    phase = np.array([_twist(theta, p, 1) for p in prods.tolist()], dtype=complex)
-    return phase[where].reshape(len(ls), len(ms))
+def phases(theta: float, k) -> np.ndarray:
+    """exp(-2 pi i theta k) over the integer array k: the twist of U V =
+    exp(2 pi i theta) V U and the eigenvalues of the lattice conjugation.
+    Bit for bit cmath.exp(-2j * math.pi * theta * k) for |k| <= 2**53 (see
+    the README's "Products and traces of products"; asserted in the tests)."""
+    return np.exp(-2j * math.pi * theta * k)
 
 
 def _index_range(a: TorusElement, axis: int) -> np.ndarray:
@@ -397,8 +395,8 @@ def mul(a: TorusElement, b: TorusElement) -> TorusElement:
     (ah, aw), (bh, bw) = a.box.shape, b.box.shape
     shape = (ah + bh - 1, aw + bw - 1)
     _check_cells(shape)
-    # tw[l, m] = _twist(theta, l, m) for l over a's columns, m over b's rows
-    tw = _twist_table(a.theta, _index_range(a, 1), _index_range(b, 0))
+    # tw[l, m] = exp(-2 pi i theta l m) for l over a's columns, m over b's rows
+    tw = phases(a.theta, np.multiply.outer(_index_range(a, 1), _index_range(b, 0)))
     y = np.empty((aw, bh, bw), dtype=complex)
     out = np.zeros(shape, dtype=complex)
     _twmul(a.box.ctypes.data, ah, aw, b.box.ctypes.data, bh, bw,
@@ -411,7 +409,7 @@ def adjoint(a: TorusElement) -> TorusElement:
     """Involution: (a*)_{m,n} = conj(a_{-m,-n}) exp(-2 pi i theta m n)."""
     if not a._size:
         return a
-    tw = _twist_table(a.theta, _index_range(a, 0), _index_range(a, 1))
+    tw = phases(a.theta, np.multiply.outer(_index_range(a, 0), _index_range(a, 1)))
     re, im = _cmul(a.box.real, -a.box.imag, tw.real, tw.imag)
     (m0, n0), (h, w) = a.offset, a.box.shape
     return _from_planes(a.theta, (-(m0 + h - 1), -(n0 + w - 1)),
@@ -448,8 +446,9 @@ def trace_product(a: TorusElement, b: TorusElement) -> complex:
         return 0j
     x = a.box[m_lo - am:m_hi - am + 1, n_lo - an:n_hi - an + 1]
     z = b.box[-m_hi - bm:-m_lo - bm + 1, -n_hi - bn:-n_lo - bn + 1][::-1, ::-1]
-    # phase _twist(theta, n, -m), a function of -m n
-    tw = _twist_table(a.theta, -np.arange(m_lo, m_hi + 1), np.arange(n_lo, n_hi + 1))
+    # the phase exp(2 pi i theta m n), as phases of -m n
+    ms, ns = np.arange(m_lo, m_hi + 1), np.arange(n_lo, n_hi + 1)
+    tw = phases(a.theta, np.multiply.outer(-ms, ns))
     y_re, y_im = _cmul(tw.real, tw.imag, z.real, z.imag)
     re, im = _cmul(x.real, x.imag, y_re, y_im)
     both = (x != 0) & (z != 0)

@@ -25,7 +25,6 @@ closed form; everything else lands on the grid.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -41,6 +40,7 @@ from .algebra import (
     l1_norm,
     mul,
     one,
+    phases,
     prune,
     scale,
     sub,
@@ -297,13 +297,13 @@ def _overlap_matrix(first: SchwartzVector, second: SchwartzVector,
         else:
             rows[i] = np.conj(_shift_values(s.values, sh / h))
     rows *= (fvals * _trapezoid_weights(points, h))[None, :]
-    # Built in place, in row blocks, so that rows and phases are the only two
+    # Built in place, in row blocks, so that rows and waves are the only two
     # full-size arrays alive; the same values as np.exp(1j * np.outer(t, freqs)).
-    phases = np.empty((points, len(freqs)), dtype=complex)
+    waves = np.empty((points, len(freqs)), dtype=complex)
     for j in range(0, points, 512):
-        np.multiply(1j, np.multiply.outer(t[j:j + 512], freqs), out=phases[j:j + 512])
-    np.exp(phases, out=phases)
-    return rows @ phases
+        np.multiply(1j, np.multiply.outer(t[j:j + 512], freqs), out=waves[j:j + 512])
+    np.exp(waves, out=waves)
+    return rows @ waves
 
 
 def _ring_l1(mat: np.ndarray) -> float:
@@ -348,7 +348,7 @@ def _inner_product(first: SchwartzVector, second: SchwartzVector, right: bool,
         shifts = ms.astype(float) if right else theta * ms.astype(float)
         mat = _overlap_matrix(first, second, shifts, freq_scale * ns.astype(float))
         if not right:
-            mat = theta * np.exp(-2j * np.pi * theta * (ms[:, None] * ns[None, :])) * mat
+            mat = theta * phases(theta, np.multiply.outer(ms, ns)) * mat
         if box is not None:
             break
         peak = float(np.abs(mat).max())
@@ -540,27 +540,3 @@ def gaussian_ode_residual(xi: SchwartzVector, lam: complex,
     w = xi.theta
     resid = dvals + (2.0 * np.pi * w * t + 2j * lam) * k.values
     return float(np.abs(resid).max())
-
-
-# ---------------------------------------------------------------- serialization
-
-
-def vector_to_json(xi: SchwartzVector) -> str:
-    k = xi.kind
-    if isinstance(k, Gaussian):
-        return json.dumps({"kind": "gaussian", "C": [k.C.real, k.C.imag],
-                           "theta": k.theta, "lambda": [k.lam.real, k.lam.imag]})
-    return json.dumps({"kind": "sampled", "L": k.L,
-                       "values": [[v.real, v.imag] for v in k.values]})
-
-
-def vector_from_json(text: str, module_theta: float | None = None) -> SchwartzVector:
-    data = json.loads(text)
-    if data["kind"] == "gaussian":
-        theta = data["theta"] if module_theta is None else module_theta
-        return SchwartzVector(theta, Gaussian(complex(*data["C"]), data["theta"],
-                                              complex(*data["lambda"])))
-    if module_theta is None:
-        raise ValueError("sampled vectors need an explicit module theta")
-    vals = np.array([complex(re, im) for re, im in data["values"]])
-    return SchwartzVector(module_theta, Sampled(data["L"], vals))

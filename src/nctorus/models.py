@@ -11,9 +11,10 @@ the requested quantity meaningless.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import (
     DEFAULT_TOL,
@@ -30,6 +31,7 @@ from .algebra import (
     monomial,
     mul,
     one,
+    phases,
     prune,
     scale,
     sub,
@@ -185,11 +187,8 @@ class EndoPair:
 
     def relation_residual(self) -> float:
         """l1 defect of phi(U) phi(V) = exp(2 pi i theta) phi(V) phi(U)."""
-        tw = cmath.exp(2j * math.pi * self.theta)
+        tw = phases(self.theta, -1)
         return l1_norm(sub(mul(self.phiU, self.phiV), scale(tw, mul(self.phiV, self.phiU))))
-
-    def unitarity_defects(self) -> tuple[float, float]:
-        return unitary_defect(self.phiU), unitary_defect(self.phiV)
 
 
 @dataclass(frozen=True)
@@ -229,10 +228,13 @@ def _monomial_index(x: TorusElement) -> tuple[int, int, complex]:
 _NULL_TOL = 1e-9
 
 
-def _null_gap(theta: float, p: int, q: int, m: int, n: int) -> complex:
-    """1 - exp(-2 pi i theta (n p - q m)): one minus the eigenvalue of
-    conjugation by U^p V^q at index (m, n)."""
-    return 1.0 - cmath.exp(-2j * math.pi * theta * (n * p - q * m))
+def _null_gaps(h: TorusElement, first: TorusElement) -> np.ndarray:
+    """1 - exp(-2 pi i theta (n p - q m)) over h's box, for first = U^p V^q:
+    one minus the eigenvalue of conjugation by U^p V^q at index (m, n)."""
+    p, q, _ = _monomial_index(first)
+    (m0, n0), (rows, cols) = h.offset, h.box.shape
+    ms, ns = np.ogrid[m0:m0 + rows, n0:n0 + cols]
+    return 1.0 - phases(h.theta, p * ns - q * ms)
 
 
 def off_null_set(h: TorusElement, first: TorusElement) -> TorusElement:
@@ -243,26 +245,25 @@ def off_null_set(h: TorusElement, first: TorusElement) -> TorusElement:
     in lowest terms it is every index where b divides n p - q m, not only
     the lattice n p = q m.
     """
-    p, q, _ = _monomial_index(first)
-    return TorusElement(h.theta, {(m, n): c for (m, n), c in h.coeffs.items()
-                                  if abs(_null_gap(h.theta, p, q, m, n)) > _NULL_TOL})
+    gaps = _null_gaps(h, first)
+    kept = np.where(np.hypot(gaps.real, gaps.imag) > _NULL_TOL, h.box, 0j)
+    return TorusElement.from_box(h.theta, h.offset, kept)
 
 
 def _diagonal_solve(rhs: TorusElement, first: TorusElement, entry) -> TorusElement:
     """B_{m,n} = numer / denom with (numer, denom) = entry(m, n, c, gap) for
-    each coefficient c of rhs, where gap = _null_gap at first's index.
+    each coefficient c of rhs, where gap is _null_gaps at its index.
 
     B is zero on the null set |gap| <= _NULL_TOL; a numerator above
     _NULL_TOL * max(1, |rhs|_1) there raises ConstraintError, as does a
     non-self-adjoint result.
     """
     theta = rhs.theta
-    p, q, _ = _monomial_index(first)
+    gaps = _null_gaps(rhs, first)[rhs.box != 0].tolist()  # row-major, as coeffs
     coeffs = {}
     bad = []
     rscale = max(1.0, l1_norm(rhs))
-    for (m, n), c in sorted(rhs.coeffs.items()):
-        gap = _null_gap(theta, p, q, m, n)
+    for ((m, n), c), gap in zip(rhs.coeffs.items(), gaps):
         numer, denom = entry(m, n, c, gap)
         if abs(gap) <= _NULL_TOL:
             if abs(numer) > _NULL_TOL * rscale:
@@ -335,9 +336,6 @@ class CoerciveQuadruple:
     def modulus_defect(self) -> float:
         return abs(abs(self.mu) ** 2 + abs(self.nu) ** 2 - 1.0)
 
-    def unitarity_defects(self) -> tuple[float, float]:
-        return unitary_defect(self.u), unitary_defect(self.v)
-
     def commutation_residuals(self) -> tuple[float, float]:
         a, g = self.phi_alpha(), self.phi_gamma()
         r1 = l1_norm(sub(mul(a, g), mul(g, a)))
@@ -384,7 +382,7 @@ def solve_su2_constraint_for_B(A: TorusElement, phi: CoerciveQuadruple) -> Torus
     """
     p, q, _ = _monomial_index(phi.u)
     r, s, _ = _monomial_index(phi.v)
-    x = cmath.exp(-2j * math.pi * A.theta)
+    x = complex(phases(A.theta, 1))
 
     def entry(m, n, c, gap):
         numer = x ** (n * r) - x ** (s * m)

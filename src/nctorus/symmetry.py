@@ -12,7 +12,6 @@ product (test oracle).
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -30,6 +29,7 @@ from .algebra import (
     monomial,
     mul,
     one,
+    phases,
     sub,
     trace,
 )
@@ -38,22 +38,15 @@ from .models import CoerciveQuadruple, EndoPair, unitary_defect
 LatticePoint = tuple[int, int]
 
 
-def _ad_phase(theta: float, m: int, n: int, a: int, b: int) -> complex:
-    arg = m * b - n * a
-    if arg == 0:
-        return 1.0 + 0.0j
-    return cmath.exp(2j * math.pi * theta * arg)
-
-
 def ad(w_index: LatticePoint, x: TorusElement) -> TorusElement:
-    """w x w* for w = U^m V^n, as the closed-form phase map on coefficients."""
+    """w x w* for w = U^m V^n, as the closed-form phase map on coefficients:
+    x_{a,b} times phases(theta, n a - m b) over x's box."""
     m, n = w_index
     if m == 0 and n == 0:
         return x
     (a0, b0), (h, w) = x.offset, x.box.shape
-    phases = [_ad_phase(x.theta, m, n, a, b)
-              for a in range(a0, a0 + h) for b in range(b0, b0 + w)]
-    return modulate(x, np.array(phases, dtype=complex).reshape(h, w))
+    a, b = np.ogrid[a0:a0 + h, b0:b0 + w]
+    return modulate(x, phases(x.theta, n * a - m * b))
 
 
 def ad_via_products(w_index: LatticePoint, x: TorusElement) -> TorusElement:

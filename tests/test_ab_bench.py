@@ -73,3 +73,24 @@ def test_parse_run_reads_the_last_line_and_the_digest(ab):
               '"metrics": {"latency_s": {"unit": "s", "value": 0.19}}}\n')
     run = ab.parse_run(0, stdout)
     assert run == ab.Run(0, True, 14, 1, "8f3306a1", {"latency_s": 0.19})
+
+
+def test_pairs_alternate_which_side_runs_first(ab, monkeypatch, capsys):
+    """Pair 1 runs the parent first, pair 2 the change first, and so on; each
+    run lands on its own side.  run_once is stubbed: no process starts."""
+    calls = []
+
+    def fake_run_once(root, workload, seed, seconds):
+        calls.append(root)
+        return runs(ab, [len(calls) / 10.0])[0]
+
+    monkeypatch.setattr(ab, "run_once", fake_run_once)
+    parent_root, change_root = Path("parent"), Path("change")
+    parent, change = ab.run_pairs((parent_root, change_root), "instanton", 1, 2.0, 5)
+    assert calls == [parent_root, change_root, change_root, parent_root, parent_root,
+                     change_root, change_root, parent_root, parent_root, change_root]
+    assert [r.metrics["latency_s"] for r in parent] == pytest.approx([0.1, 0.4, 0.5, 0.8, 0.9])
+    assert [r.metrics["latency_s"] for r in change] == pytest.approx([0.2, 0.3, 0.6, 0.7, 1.0])
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:2] == ["pair 1 (parent first): latency_s parent 0.1000, change 0.2000",
+                           "pair 2 (change first): latency_s parent 0.4000, change 0.3000"]

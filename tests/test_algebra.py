@@ -31,6 +31,7 @@ from nctorus.algebra import (
     mul_reference,
     norms,
     one,
+    phases,
     prune,
     random_element,
     random_selfadjoint,
@@ -302,6 +303,22 @@ def test_trace_product_is_trace_of_the_product(theta, s, ta, tb):
     tp = trace_product(a, b)
     assert tp == trace(mul_reference(a, b))
     assert abs(tp - trace_product(b, a)) <= 1e-12 * max(1.0, l1_norm(a) * l1_norm(b))
+
+
+@seed(43)
+@settings(max_examples=200, deadline=None, database=None)
+@given(theta=st.floats(-0.99, 0.99),
+       ks=st.lists(st.integers(-(1 << 20), 1 << 20), min_size=1, max_size=30))
+@example(theta=THETA, ks=[0, 1, -1, 1 << 20, -(1 << 20)])
+@example(theta=-0.0, ks=[0, -7])
+def test_phases_are_cmath_exp_bit_for_bit(theta, ks):
+    """numpy's exp in phases rounds like cmath.exp, signed zeros included:
+    mul, adjoint, trace_product and symmetry.ad keep their bits on it."""
+    got = phases(theta, np.array(ks).reshape(1, -1))
+    assert got.shape == (1, len(ks)) and got.flags.c_contiguous
+    for k, z in zip(ks, got[0].tolist()):
+        want = cmath.exp(-2j * math.pi * theta * k)
+        assert (z.real.hex(), z.imag.hex()) == (want.real.hex(), want.imag.hex()), k
 
 
 def test_trace_product_examples():

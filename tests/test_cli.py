@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nctorus.algebra as algebra
@@ -103,14 +104,11 @@ def test_verify_all_passes_and_is_deterministic(capsys):
 
 
 def test_verify_symmetry_fails_with_corrupted_phase(capsys, monkeypatch):
-    import cmath
-    import math
+    def corrupted(theta, k):
+        # non-additive in k: breaks the group-action law
+        return np.exp(-2j * np.pi * theta * (k + k * k))
 
-    def corrupted(theta, m, n, a, b):
-        # non-additive extra twist: breaks the group-action law
-        return cmath.exp(2j * math.pi * theta * (m * b - n * a + m * n))
-
-    monkeypatch.setattr(symmetry, "_ad_phase", corrupted)
+    monkeypatch.setattr(symmetry, "phases", corrupted)
     code, out = run_cli(capsys, "verify", "--suite", "symmetry")
     assert code == EXIT_INVARIANT
     data = json.loads(out)

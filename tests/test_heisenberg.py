@@ -42,8 +42,6 @@ from nctorus.heisenberg import (
     instanton,
     invert_positive,
     invert_positive_with_stats,
-    vector_from_json,
-    vector_to_json,
 )
 from nctorus.heisenberg import _monomial_act_gaussian, _overlap_matrix, _to_element
 
@@ -576,21 +574,3 @@ def test_ode_residual_second_order_in_grid_spacing():
         xi = SchwartzVector(theta, Sampled(8.0, vals))
         res.append(gaussian_ode_residual(xi, lam))
     assert res[0] / res[1] > 3.5
-
-
-# ---------------------------------------------------------------- serialization
-
-
-def test_gaussian_json_round_trip():
-    xi = gaussian_vector(0.2, lam=0.5 - 0.25j, C=1.5 + 2j, width=1.7)
-    back = vector_from_json(vector_to_json(xi), module_theta=0.2)
-    assert back.kind == xi.kind
-    assert back.theta == xi.theta
-
-
-def test_sampled_json_round_trip():
-    t = np.linspace(-2, 2, 11)
-    xi = SchwartzVector(0.3, Sampled(2.0, np.exp(-t * t) + 0.1j * t))
-    back = vector_from_json(vector_to_json(xi), module_theta=0.3)
-    assert back.kind.L == 2.0
-    assert np.array_equal(back.kind.values, xi.kind.values)

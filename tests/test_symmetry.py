@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from nctorus.algebra import (
     Tolerance,
+    TorusElement,
     add,
     adjoint,
     exp_i,
@@ -59,6 +61,35 @@ GOLDEN = (math.sqrt(5) - 1) / 2
 def test_ad_identity_index():
     x = random_element(THETA, 4, 1)
     assert ad((0, 0), x) is x
+
+
+@seed(47)
+@settings(max_examples=40, deadline=None, database=None)
+@given(theta=st.floats(-0.99, 0.99).filter(lambda t: math.copysign(1.0, t) > 0 or t != 0),
+       s=st.integers(0, 10**6),
+       w=st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(lambda w: w != (0, 0)))
+@example(theta=0.0, s=0, w=(0, 1))
+@example(theta=-0.5, s=0, w=(0, 1))
+def test_ad_is_the_per_cell_phase_bit_for_bit(theta, s, w):
+    """ad's array of phases gives the bits of a per-cell loop over
+    cmath.exp(2 pi i theta (m b - n a)), with the phase 1 + 0j where
+    m b - n a = 0, signed zeros included.  (At theta < 0, cmath.exp gives
+    1 - 0j there.)  Left out: w = (0, 0), which returns x itself
+    (test_ad_identity_index), and theta = -0.0, where ad's phase 1 + 0j
+    and the loop's 1 - 0j differ in the sign of a zero."""
+    rng = np.random.default_rng(s)
+    parts = rng.standard_normal((9, 9, 2)) * 10.0 ** rng.integers(-20, 20, size=(9, 9, 2))
+    parts[rng.random((9, 9, 2)) < 0.15] = -0.0
+    parts[rng.random((9, 9, 2)) < 0.15] = 0.0
+    x = TorusElement(theta, {(a - 4, b - 3): complex(*parts[a, b])
+                             for a in range(9) for b in range(9)})
+    m, n = w
+    want = {}
+    for (a, b), c in x.coeffs.items():
+        arg = m * b - n * a
+        want[(a, b)] = c * (1.0 + 0.0j if arg == 0 else cmath.exp(2j * math.pi * theta * arg))
+    bits = [(k, c.real.hex(), c.imag.hex()) for k, c in want.items() if c != 0]
+    assert [(k, c.real.hex(), c.imag.hex()) for k, c in ad(w, x).coeffs.items()] == bits
 
 
 def test_ad_phase_on_monomials():
