@@ -28,6 +28,8 @@ DEFAULT_COMMANDS = [
     "--theta 0.3 --lambda-re 0.4 --lambda-im -0.2 instanton",
     "--theta 0.5 instanton",
     "--theta 0.05 instanton",
+    "--trunc 3 instanton",
+    "--trunc 40 instanton",
     "--trunc 16 sweep --param theta --values 0.05,0.15,0.2,0.3,0.5,0.618",
     "--trunc 8 sweep --param theta --values 0.2,1.7",
     "--trunc 8 sweep --param theta --values 0.35,0.45,0.75,0.95",

@@ -14,7 +14,8 @@ operations are array expressions that round exactly like the
 per-coefficient CPython arithmetic they stand for: complex products are
 formed from real and imaginary planes with CPython's formula, moduli come
 from np.hypot (numpy's complex multiply and complex abs round differently),
-and norms and tails are left-to-right sums in row-major order.
+and norms are left-to-right sums in row-major order.  An element holds its
+value only: truncate and prune keep no record of the mass they drop.
 
 Everything here is pure: no operation mutates its inputs.
 """
@@ -43,6 +44,9 @@ TWO_PI = 2.0 * math.pi
 # Largest bounding box an element may span, in cells (16 bytes each): 64 MiB.
 # The adaptive inner products stop at [-512, 512]^2, about 1.05 M cells.
 MAX_BOX_CELLS = 1 << 22
+
+# Largest |m|, |n| of an index: every lattice product k then has |k| <= 2**53.
+MAX_INDEX = 1 << 26
 
 # exp_i prunes every series term and its result at this modulus relative to
 # the peak; products with its result may be pruned at the same precision.
@@ -87,13 +91,13 @@ def _check_cells(shape: tuple[int, int]) -> None:
         raise ValueError(f"bounding box {shape[0]} x {shape[1]} exceeds {MAX_BOX_CELLS} cells")
 
 
-def _crop(offset: Index, box: np.ndarray) -> tuple[Index, np.ndarray, int]:
-    """(offset, box, size) for an owned, writable box: cropped to its nonzero
+def _crop(offset: Index, box: np.ndarray) -> tuple[Index, np.ndarray]:
+    """(offset, box) for an owned, writable box: cropped to its nonzero
     cells, every other cell set to +0, and made read-only."""
     mask = box != 0
     size = int(np.count_nonzero(mask))
     if size == 0:
-        return (0, 0), _EMPTY, 0
+        return (0, 0), _EMPTY
     if size < mask.size:
         np.copyto(box, 0, where=~mask)
         rows = np.flatnonzero(mask.any(axis=1))
@@ -103,12 +107,14 @@ def _crop(offset: Index, box: np.ndarray) -> tuple[Index, np.ndarray, int]:
             box = box[r0:r1, c0:c1].copy()
             offset = (offset[0] + r0, offset[1] + c0)
     box.flags.writeable = False
-    return offset, box, size
+    return offset, box
 
 
-def _fill(el, theta, offset, box, size, tail_l1) -> None:
-    for name, value in (("theta", theta), ("offset", offset), ("box", box), ("_size", size),
-                        ("tail_l1", tail_l1), ("_coeffs", None)):
+def _fill(el, theta, offset, box) -> None:
+    (m0, n0), (h, w) = offset, box.shape
+    if max(-m0, -n0, m0 + h - 1, n0 + w - 1) > MAX_INDEX:
+        raise ValueError(f"coefficient index outside [-{MAX_INDEX}, {MAX_INDEX}]^2")
+    for name, value in (("theta", theta), ("offset", offset), ("box", box), ("_coeffs", None)):
         object.__setattr__(el, name, value)
 
 
@@ -117,18 +123,16 @@ class TorusElement:
 
     coeffs is a read-only dict from integer pairs (m, n) to the complex
     coefficient of U^m V^n; offset and box are the stored form (see the
-    module docstring).  tail_l1 accumulates the l1 mass dropped by
-    truncation/pruning steps that produced this element; it is diagnostic
-    metadata, not part of the value.  Elements are immutable and compare by
-    identity.
+    module docstring); every index has |m|, |n| <= MAX_INDEX.  Elements
+    are immutable and compare by identity.
     """
 
-    __slots__ = ("theta", "offset", "box", "tail_l1", "_size", "_coeffs")
+    __slots__ = ("theta", "offset", "box", "_coeffs")
 
-    def __init__(self, theta: float, coeffs: Mapping[Index, complex], tail_l1: float = 0.0):
+    def __init__(self, theta: float, coeffs: Mapping[Index, complex]):
         n = len(coeffs)
         if n == 0:
-            _fill(self, theta, (0, 0), _EMPTY, 0, tail_l1)
+            _fill(self, theta, (0, 0), _EMPTY)
             return
         try:
             idx = np.fromiter(chain.from_iterable(coeffs), dtype=np.int64, count=2 * n)
@@ -140,11 +144,10 @@ class TorusElement:
         _check_cells((m1 - m0 + 1, n1 - n0 + 1))
         box = np.zeros((m1 - m0 + 1, n1 - n0 + 1), dtype=complex)
         box[idx[:, 0] - m0, idx[:, 1] - n0] = np.fromiter(coeffs.values(), dtype=complex, count=n)
-        _fill(self, theta, *_crop((m0, n0), box), tail_l1)
+        _fill(self, theta, *_crop((m0, n0), box))
 
     @classmethod
-    def from_box(cls, theta: float, offset: Index, box: np.ndarray,
-                 tail_l1: float = 0.0) -> TorusElement:
+    def from_box(cls, theta: float, offset: Index, box: np.ndarray) -> TorusElement:
         """The element with coefficient box[i, j] at U^(m0 + i) V^(n0 + j).
 
         Takes ownership of box, a writable complex array (copied first unless
@@ -155,7 +158,7 @@ class TorusElement:
         box = np.ascontiguousarray(box, dtype=complex)
         _check_cells(box.shape)
         el = object.__new__(cls)
-        _fill(el, theta, *_crop((int(offset[0]), int(offset[1])), box), tail_l1)
+        _fill(el, theta, *_crop((int(offset[0]), int(offset[1])), box))
         return el
 
     def __setattr__(self, name, value):
@@ -165,7 +168,7 @@ class TorusElement:
         raise AttributeError("TorusElement is immutable")
 
     def __reduce__(self):
-        return TorusElement.from_box, (self.theta, self.offset, self.box.copy(), self.tail_l1)
+        return TorusElement.from_box, (self.theta, self.offset, self.box.copy())
 
     @property
     def coeffs(self) -> Mapping[Index, complex]:
@@ -201,15 +204,8 @@ class TorusElement:
 
     def __repr__(self):
         terms = ", ".join(f"({m},{n}): {c:.6g}" for (m, n), c in islice(self.coeffs.items(), 8))
-        more = "" if self._size <= 8 else f", ... ({self._size} terms)"
+        more = "" if len(self.coeffs) <= 8 else f", ... ({len(self.coeffs)} terms)"
         return f"TorusElement(theta={self.theta}, {{{terms}{more}}})"
-
-
-def _with_tail(a: TorusElement, tail_l1: float) -> TorusElement:
-    """a's value (sharing its read-only box) with another tail."""
-    el = object.__new__(TorusElement)
-    _fill(el, a.theta, a.offset, a.box, a._size, tail_l1)
-    return el
 
 
 def _cmul(xr, xi, yr, yi):
@@ -219,12 +215,11 @@ def _cmul(xr, xi, yr, yi):
     return xr * yr - xi * yi, xr * yi + xi * yr
 
 
-def _from_planes(theta: float, offset: Index, re: np.ndarray, im: np.ndarray,
-                 tail_l1: float) -> TorusElement:
+def _from_planes(theta: float, offset: Index, re: np.ndarray, im: np.ndarray) -> TorusElement:
     box = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=complex)
     box.real = re
     box.imag = im
-    return TorusElement.from_box(theta, offset, box, tail_l1)
+    return TorusElement.from_box(theta, offset, box)
 
 
 def _moduli(box: np.ndarray) -> np.ndarray:
@@ -245,8 +240,6 @@ def _check_same_theta(a: TorusElement, b: TorusElement):
 
 def monomial(theta: float, m: int, n: int, c: complex = 1.0) -> TorusElement:
     """c * U^m V^n; the empty element when c == 0."""
-    if c == 0:
-        return TorusElement(theta, {})
     return TorusElement(theta, {(int(m), int(n)): complex(c)})
 
 
@@ -262,11 +255,10 @@ def _add_or_sub(a: TorusElement, b: TorusElement, op) -> TorusElement:
     """op(a's cell, b's cell) at b's nonzero cells only, on a's box grown to
     cover b's; every other cell keeps its value and sign of zero."""
     _check_same_theta(a, b)
-    tail = a.tail_l1 + b.tail_l1
-    if not b._size:
-        return _with_tail(a, tail)
+    if not b.box.size:
+        return a
     (bm, bn), (bh, bw) = b.offset, b.box.shape
-    (m0, n0), (h, w) = (a.offset, a.box.shape) if a._size else ((bm, bn), (0, 0))
+    (m0, n0), (h, w) = (a.offset, a.box.shape) if a.box.size else ((bm, bn), (0, 0))
     top, left = min(m0, bm), min(n0, bn)
     shape = (max(m0 + h, bm + bh) - top, max(n0 + w, bn + bw) - left)
     _check_cells(shape)
@@ -274,7 +266,7 @@ def _add_or_sub(a: TorusElement, b: TorusElement, op) -> TorusElement:
     out[m0 - top:m0 - top + h, n0 - left:n0 - left + w] = a.box
     region = out[bm - top:bm - top + bh, bn - left:bn - left + bw]
     op(region, b.box, out=region, where=b.box != 0)
-    return TorusElement.from_box(a.theta, (top, left), out, tail)
+    return TorusElement.from_box(a.theta, (top, left), out)
 
 
 def add(a: TorusElement, b: TorusElement) -> TorusElement:
@@ -288,16 +280,14 @@ def sub(a: TorusElement, b: TorusElement) -> TorusElement:
 def modulate(a: TorusElement, factor) -> TorusElement:
     """Each coefficient c of a times the matching cell f of factor (a complex
     array broadcastable over a.box, or a scalar), rounded as CPython's c * f."""
-    if not a._size:
-        return a
     f = np.asarray(factor, dtype=complex)
     re, im = _cmul(a.box.real, a.box.imag, f.real, f.imag)
-    return _from_planes(a.theta, a.offset, re, im, a.tail_l1)
+    return _from_planes(a.theta, a.offset, re, im)
 
 
 def scale(c: complex, a: TorusElement) -> TorusElement:
     if c == 0:
-        return TorusElement(a.theta, {}, tail_l1=a.tail_l1)
+        return zero(a.theta)
     return modulate(a, complex(c))
 
 
@@ -323,7 +313,7 @@ def mul_reference(a: TorusElement, b: TorusElement) -> TorusElement:
         for (mp, nq), cb in bitems:
             key = (k + mp, l + nq)
             out[key] = out.get(key, 0.0) + ca * (_twist(theta, l, mp) * cb)
-    return TorusElement(theta, out, tail_l1=a.tail_l1 + b.tail_l1)
+    return TorusElement(theta, out)
 
 
 def phases(theta: float, k) -> np.ndarray:
@@ -389,9 +379,8 @@ def mul(a: TorusElement, b: TorusElement) -> TorusElement:
     suite).
     """
     _check_same_theta(a, b)
-    tail = a.tail_l1 + b.tail_l1
-    if not (a._size and b._size):
-        return TorusElement(a.theta, {}, tail_l1=tail)
+    if not (a.box.size and b.box.size):
+        return zero(a.theta)
     (ah, aw), (bh, bw) = a.box.shape, b.box.shape
     shape = (ah + bh - 1, aw + bw - 1)
     _check_cells(shape)
@@ -402,18 +391,16 @@ def mul(a: TorusElement, b: TorusElement) -> TorusElement:
     _twmul(a.box.ctypes.data, ah, aw, b.box.ctypes.data, bh, bw,
            tw.ctypes.data, y.ctypes.data, out.ctypes.data)
     offset = (a.offset[0] + b.offset[0], a.offset[1] + b.offset[1])
-    return TorusElement.from_box(a.theta, offset, out, tail)
+    return TorusElement.from_box(a.theta, offset, out)
 
 
 def adjoint(a: TorusElement) -> TorusElement:
     """Involution: (a*)_{m,n} = conj(a_{-m,-n}) exp(-2 pi i theta m n)."""
-    if not a._size:
-        return a
     tw = phases(a.theta, np.multiply.outer(_index_range(a, 0), _index_range(a, 1)))
     re, im = _cmul(a.box.real, -a.box.imag, tw.real, tw.imag)
     (m0, n0), (h, w) = a.offset, a.box.shape
     return _from_planes(a.theta, (-(m0 + h - 1), -(n0 + w - 1)),
-                        re[::-1, ::-1], im[::-1, ::-1], a.tail_l1)
+                        re[::-1, ::-1], im[::-1, ::-1])
 
 
 def _origin(a: TorusElement) -> Index | None:
@@ -442,7 +429,7 @@ def trace_product(a: TorusElement, b: TorusElement) -> complex:
     # a's rows m and columns n whose reflection (-m, -n) lies in b's box
     m_lo, m_hi = max(am, -(bm + bh - 1)), min(am + ah - 1, -bm)
     n_lo, n_hi = max(an, -(bn + bw - 1)), min(an + aw - 1, -bn)
-    if not (a._size and b._size) or m_lo > m_hi or n_lo > n_hi:
+    if m_lo > m_hi or n_lo > n_hi:  # no overlap, or an empty operand
         return 0j
     x = a.box[m_lo - am:m_hi - am + 1, n_lo - an:n_hi - an + 1]
     z = b.box[-m_hi - bm:-m_lo - bm + 1, -n_hi - bn:-n_lo - bn + 1][::-1, ::-1]
@@ -460,7 +447,7 @@ def delta(j: int, a: TorusElement) -> TorusElement:
     """Canonical derivations: delta_1 scales a_{m,n} by 2 pi i m, delta_2 by 2 pi i n."""
     if j not in (1, 2):
         raise ValueError("derivation index must be 1 or 2")
-    if not a._size:
+    if not a.box.size:
         return a
     axis = j - 1
     ks = _index_range(a, axis).tolist()
@@ -470,7 +457,7 @@ def delta(j: int, a: TorusElement) -> TorusElement:
     if ks[0] <= 0 <= ks[-1]:
         at_zero = (-ks[0], slice(None)) if axis == 0 else (slice(None), -ks[0])
         re[at_zero] = im[at_zero] = 0.0
-    return _from_planes(a.theta, a.offset, re, im, a.tail_l1)
+    return _from_planes(a.theta, a.offset, re, im)
 
 
 _LAPLACE = -4.0 * math.pi**2
@@ -478,29 +465,28 @@ _LAPLACE = -4.0 * math.pi**2
 
 def laplacian(a: TorusElement) -> TorusElement:
     """delta_1^2 + delta_2^2: coefficient-wise multiplication by -4 pi^2 (m^2 + n^2)."""
-    if not a._size:
-        return a
     ms, ns = _index_range(a, 0)[:, None], _index_range(a, 1)[None, :]
     re, im = _cmul(a.box.real, a.box.imag, _LAPLACE * (ms * ms + ns * ns), 0.0)
     at = _origin(a)
     if at is not None:
         re[at] = im[at] = 0.0
-    return _from_planes(a.theta, a.offset, re, im, a.tail_l1)
+    return _from_planes(a.theta, a.offset, re, im)
 
 
 def norms(a: TorusElement) -> tuple[float, float]:
-    """(l1, gns) coefficient norms; l1 dominates the operator norm, gns = tau(a* a)^(1/2)."""
-    mags = _moduli(a.box)
-    return _seqsum(mags), math.sqrt(_seqsum(mags * mags))
+    """(l1, gns) coefficient norms."""
+    return l1_norm(a), gns_norm(a)
 
 
 def l1_norm(a: TorusElement) -> float:
-    """norms(a)[0], without forming the squares (which overflow above ~1e154)."""
+    """Sum of the coefficient moduli; dominates the operator norm."""
     return _seqsum(_moduli(a.box))
 
 
 def gns_norm(a: TorusElement) -> float:
-    return norms(a)[1]
+    """tau(a* a)^(1/2), the root of the sum of the squared moduli."""
+    mags = _moduli(a.box)
+    return math.sqrt(_seqsum(mags * mags))
 
 
 def is_scalar(a: TorusElement, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -543,30 +529,23 @@ def random_element(theta: float, box: int, seed: int, terms: int = 6) -> TorusEl
 
 
 def truncate(a: TorusElement, box: int) -> TorusElement:
-    """Drop coefficients outside [-box, box]^2, recording their l1 mass as tail."""
+    """The coefficients of a inside [-box, box]^2; a itself when it has no other."""
     (m0, n0), (h, w) = a.offset, a.box.shape
-    r0, r1 = max(0, -box - m0), min(h, box - m0 + 1)
-    c0, c1 = max(0, -box - n0), min(w, box - n0 + 1)
+    r0, c0 = max(0, -box - m0), max(0, -box - n0)
+    r1, c1 = max(r0, min(h, box - m0 + 1)), max(c0, min(w, box - n0 + 1))
     if (r0, r1, c0, c1) == (0, h, 0, w):
         return a
-    outside = np.ones((h, w), dtype=bool)
-    outside[r0:max(r0, r1), c0:max(c0, c1)] = False
-    dropped = _seqsum(_moduli(a.box[outside]))
-    if r0 >= r1 or c0 >= c1:
-        return TorusElement(a.theta, {}, tail_l1=a.tail_l1 + dropped)
-    kept = a.box[r0:r1, c0:c1].copy()
-    return TorusElement.from_box(a.theta, (m0 + r0, n0 + c0), kept, a.tail_l1 + dropped)
+    return TorusElement.from_box(a.theta, (m0 + r0, n0 + c0), a.box[r0:r1, c0:c1].copy())
 
 
 def prune(a: TorusElement, rel_threshold: float = 1e-16) -> TorusElement:
-    """Drop coefficients of modulus at most rel_threshold * peak, recording
-    their l1 mass as tail.
+    """Drop coefficients of modulus at most rel_threshold * peak.
 
     peak is Python's max over the nonzero cells in row-major order: NaN
     when the first of them is NaN (then nothing is kept), otherwise the
     largest modulus that is not NaN.
     """
-    if not a._size:
+    if not a.box.size:
         return a
     mags = _moduli(a.box)
     flat = mags.ravel()
@@ -574,9 +553,8 @@ def prune(a: TorusElement, rel_threshold: float = 1e-16) -> TorusElement:
     nans = np.isnan(flat)
     if nans.any() and nans[np.flatnonzero(flat)[0]]:
         peak = math.nan
-    drop = ~(mags > rel_threshold * peak)
-    kept = np.where(drop, 0j, a.box)
-    return TorusElement.from_box(a.theta, a.offset, kept, a.tail_l1 + _seqsum(mags[drop]))
+    kept = np.where(mags > rel_threshold * peak, a.box, 0j)
+    return TorusElement.from_box(a.theta, a.offset, kept)
 
 
 def exp_i(h: TorusElement, t: float = 1.0, max_order: int = 60) -> TorusElement:

@@ -7,7 +7,9 @@ failure (inversion, convergence, or an empty projection).
 Sweep CSV columns (one row per parameter value): the swept parameter, then
 tail_l1, idempotency_defect, trace, chern, plus an error column for rows
 that failed; instanton convergence tables use box, tail_l1,
-idempotency_defect, trace, chern.
+idempotency_defect, trace, chern.  tail_l1 is the l1 mass p holds on the
+boundary ring of [-trunc, trunc]^2; a convergence row at box b adds to it
+the l1 mass of p outside [-b, b]^2.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from .algebra import (
     MAX_BOX_CELLS,
     ConvergenceError,
     Tolerance,
+    l1_norm,
     monomial,
     random_selfadjoint,
+    sub,
     trace,
     truncate,
     zero,
@@ -116,10 +120,10 @@ def _report(config: RunConfig, model: str, extra: dict | None = None,
 # ------------------------------------------------------------------- commands
 
 
-def _projection_row(p) -> dict:
-    """Truncation tail, idempotency defect, trace and Chern number of p."""
+def _projection_row(p, tail_l1: float) -> dict:
+    """tail_l1, then the idempotency defect, trace and Chern number of p."""
     return {
-        "tail_l1": p.tail_l1,
+        "tail_l1": tail_l1,
         "idempotency_defect": md.idempotency_defect(p),
         "trace": trace(p).real,
         "chern": md.chern_number(p),
@@ -156,9 +160,10 @@ def cmd_instanton(config: RunConfig) -> tuple[ModelReport, int]:
 
     p = run.projection
     # the last box is trunc_box, where truncate(p, box) is p itself
-    convergence = [{"box": box, **_projection_row(truncate(p, box))}
-                   for box in sorted({8, 16, 24, 32, config.trunc_box})
-                   if box <= config.trunc_box]
+    kept = [(box, truncate(p, box)) for box in sorted({8, 16, 24, 32, config.trunc_box})
+            if box <= config.trunc_box]
+    convergence = [{"box": box, **_projection_row(q, run.tail_l1 + l1_norm(sub(p, q)))}
+                   for box, q in kept]
     full = convergence[-1]
     chiral_energy_w, chiral_residual_w = md.chiral_energy_and_residual(
         md.harmonic_from_projection(p))
@@ -207,12 +212,13 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float]) -> tuple[Model
         row = {param: value}
         try:
             cfg.validate()
-            p = _build_instanton(cfg).projection
+            run = _build_instanton(cfg)
         except (ValueError, *_BUILD_ERRORS) as exc:  # a value validate rejects is a row error
             row["error"] = str(exc)
             worst = EXIT_NUMERICAL
         else:
-            row.update(_projection_row(p), energy=md.ising_energy(p), error="")
+            p = run.projection
+            row.update(_projection_row(p, run.tail_l1), energy=md.ising_energy(p), error="")
         rows.append(row)
     return _report(config, f"sweep:{param}", convergence=rows), worst
 

@@ -45,6 +45,7 @@ from .algebra import (
     scale,
     sub,
     trace,
+    truncate,
 )
 
 GRID_L = 20.0
@@ -306,22 +307,13 @@ def _overlap_matrix(first: SchwartzVector, second: SchwartzVector,
     return rows @ waves
 
 
-def _ring_l1(mat: np.ndarray) -> float:
-    """l1 mass of the outermost index ring of a 2-d coefficient array."""
-    if mat.shape[0] < 3 or mat.shape[1] < 3:
-        return float(np.abs(mat).sum())
-    edge = np.abs(mat[0, :]).sum() + np.abs(mat[-1, :]).sum()
-    edge += np.abs(mat[1:-1, 0]).sum() + np.abs(mat[1:-1, -1]).sum()
-    return float(edge)
-
-
 def _to_element(theta: float, mat: np.ndarray, ms: np.ndarray, ns: np.ndarray,
-                drop: float, tail: float) -> TorusElement:
+                drop: float) -> TorusElement:
     """Entries above drop * peak of mat over the consecutive indices ms x ns;
     a NaN peak keeps none."""
     mag = np.abs(mat)
     kept = np.where(mag > drop * mag.max(), mat, 0j)
-    return TorusElement.from_box(theta, (ms[0], ns[0]), kept, tail_l1=tail)
+    return TorusElement.from_box(theta, (ms[0], ns[0]), kept)
 
 
 def _inner_product(first: SchwartzVector, second: SchwartzVector, right: bool,
@@ -332,9 +324,9 @@ def _inner_product(first: SchwartzVector, second: SchwartzVector, right: bool,
     with (s, f) the side table's translation and frequency of U^m V^n; the
     left side carries the extra factor theta exp(-2 pi i theta m n).  With
     box=None the box is grown adaptively until the boundary ring falls below
-    truncation_eps relative to the peak; the final ring mass is recorded on
-    the result as tail_l1.  ConvergenceError is raised when the box reaches
-    [-BOX_CAP, BOX_CAP] on a side whose ring is still above that threshold.
+    truncation_eps relative to the peak.  ConvergenceError is raised when
+    the box reaches [-BOX_CAP, BOX_CAP] on a side whose ring is still above
+    that threshold.
     """
     if first.theta != second.theta:
         raise CompositionError("theta mismatch between vectors")
@@ -368,8 +360,7 @@ def _inner_product(first: SchwartzVector, second: SchwartzVector, right: bool,
                     f"inner product box reached its cap {cap} with boundary ring "
                     f"{max(row_edge, col_edge):.3e} above {thresh:.3e}")
             break
-    return _to_element(dual_theta(theta) if right else theta, mat, ms, ns,
-                       drop=1e-18, tail=_ring_l1(mat))
+    return _to_element(dual_theta(theta) if right else theta, mat, ms, ns, drop=1e-18)
 
 
 def inner_A(xi: SchwartzVector, eta: SchwartzVector,
@@ -377,8 +368,7 @@ def inner_A(xi: SchwartzVector, eta: SchwartzVector,
     """Left-algebra-valued inner product <xi, eta>_A.
 
     Coefficient at (m, n) is theta * integral xi(t) conj((U^m V^n eta)(t)) dt;
-    left-linear in xi, Hermitian against swapping.  Tail mass outside the
-    returned box is reported through the element's tail_l1 field.
+    left-linear in xi, Hermitian against swapping.
     """
     return _inner_product(xi, eta, False, tol, box)
 
@@ -478,7 +468,7 @@ class InstantonRun:
     inversion_iterations: int
     inversion_seed: str  # Newton-Schulz start that converged: "trace" or "l1"
     projection: TorusElement
-    tail_l1: float
+    tail_l1: float  # l1 mass of projection on the boundary ring of [-box, box]^2
     tail_converged: bool
 
 
@@ -490,10 +480,10 @@ def build_instanton(theta: float, lam: complex = 0.0, tol: Tolerance = DEFAULT_T
     transport equation  xi' + (2 pi t / theta + 2 i lambda) xi = 0  under this
     module's action conventions, i.e. a Gaussian of width 1/theta.  The
     projection is p = <xi . b^{-1}, xi>_A with b = <xi, xi>_B, reported on
-    [-box, box]^2 with the boundary-ring mass recorded as the truncation
-    report.  Raises EmptyProjectionError when xi . b^{-1} has a sample that
-    is not finite (before any quadrature), or when p keeps no coefficient or
-    its tail is not finite.
+    [-box, box]^2.  tail_l1 is the l1 mass p holds on the boundary ring of
+    that box.  Raises EmptyProjectionError when xi . b^{-1} has a sample
+    that is not finite (before any quadrature), or when p keeps no
+    coefficient or its tail is not finite.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0, 1)")
@@ -504,12 +494,15 @@ def build_instanton(theta: float, lam: complex = 0.0, tol: Tolerance = DEFAULT_T
         p = inner_A(act_right(xi, ginv, L=L, points=points), xi, tol, box=box)
     except NonFiniteError as exc:
         raise EmptyProjectionError(f"empty projection: {exc}") from exc
-    if not p.box.size or not math.isfinite(p.tail_l1):
-        raise EmptyProjectionError(f"empty projection (tail_l1={p.tail_l1!r})")
-    converged = p.tail_l1 <= tol.truncation_eps * max(1.0, l1_norm(p))
+    if not p.box.size:
+        raise EmptyProjectionError("empty projection: no coefficient kept")
+    tail = l1_norm(sub(p, truncate(p, box - 1)))
+    if not math.isfinite(tail):
+        raise EmptyProjectionError(f"empty projection: non-finite tail (tail_l1={tail!r})")
+    converged = tail <= tol.truncation_eps * max(1.0, l1_norm(p))
     return InstantonRun(theta=theta, lam=complex(lam), gram=gram, inversion_residual=res,
                         inversion_iterations=its, inversion_seed=seed, projection=p,
-                        tail_l1=p.tail_l1, tail_converged=converged)
+                        tail_l1=tail, tail_converged=converged)
 
 
 def instanton(theta: float, lam: complex = 0.0, tol: Tolerance = DEFAULT_TOL,

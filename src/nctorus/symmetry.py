@@ -18,6 +18,7 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_TOL,
+    MAX_INDEX,
     Tolerance,
     TorusElement,
     adjoint,
@@ -39,9 +40,11 @@ LatticePoint = tuple[int, int]
 
 
 def ad(w_index: LatticePoint, x: TorusElement) -> TorusElement:
-    """w x w* for w = U^m V^n, as the closed-form phase map on coefficients:
-    x_{a,b} times phases(theta, n a - m b) over x's box."""
+    """w x w* for w = U^m V^n, |m|, |n| <= MAX_INDEX, as the closed-form phase
+    map on coefficients: x_{a,b} times phases(theta, n a - m b) over x's box."""
     m, n = w_index
+    if max(abs(m), abs(n)) > MAX_INDEX:
+        raise ValueError(f"lattice point {w_index} outside [-{MAX_INDEX}, {MAX_INDEX}]^2")
     if m == 0 and n == 0:
         return x
     (a0, b0), (h, w) = x.offset, x.box.shape

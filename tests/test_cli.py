@@ -23,6 +23,7 @@ from nctorus.cli import (
     load_config_file,
     main,
 )
+from oracles import truncate_dict
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +80,19 @@ def test_instanton_report_values(capsys):
     assert abs(data["chern"] + 1.0) < 1e-4
     boxes = [row["box"] for row in data["convergence"]]
     assert boxes == sorted(boxes)
+
+
+def test_instanton_convergence_tails_are_the_ring_plus_the_dropped_mass(capsys):
+    """Each row's tail_l1 is the build's ring mass plus the l1 mass that
+    truncation to the row's box drops, bit for bit."""
+    code, out = run_cli(capsys, "--trunc", "20", "instanton")
+    assert code == EXIT_OK
+    rows = json.loads(out)["convergence"]
+    assert [row["box"] for row in rows] == [8, 16, 20]
+    run = hb.build_instanton(0.2, 0.0, RunConfig().tolerance(), box=20)
+    coeffs = dict(run.projection.coeffs)
+    for row in rows:
+        assert row["tail_l1"] == run.tail_l1 + truncate_dict(coeffs, row["box"])[1]
 
 
 def test_instanton_deterministic_output(capsys):

@@ -44,6 +44,7 @@ from nctorus.heisenberg import (
     invert_positive_with_stats,
 )
 from nctorus.heisenberg import _monomial_act_gaussian, _overlap_matrix, _to_element
+from oracles import truncate_dict
 
 TOL = Tolerance()
 THETAS = [0.15, 0.2, 0.3]
@@ -222,11 +223,10 @@ def test_to_element_matches_loop_reference():
     with_nan = mat.copy()
     with_nan[2, 3] = np.nan
     for m in (mat, with_nan):
-        got = _to_element(0.2, m, ms, ns, drop=1e-18, tail=0.5)
+        got = _to_element(0.2, m, ms, ns, drop=1e-18)
         assert list(got.coeffs.items()) == list(reference(m, ms, ns, 1e-18).items())
-        assert got.tail_l1 == 0.5
-    assert 0 < len(_to_element(0.2, mat, ms, ns, drop=1e-18, tail=0.0).coeffs) < mat.size
-    assert _to_element(0.2, with_nan, ms, ns, drop=1e-18, tail=0.0).coeffs == {}
+    assert 0 < len(_to_element(0.2, mat, ms, ns, drop=1e-18).coeffs) < mat.size
+    assert _to_element(0.2, with_nan, ms, ns, drop=1e-18).coeffs == {}
 
 
 def test_inner_a_of_zero_vector():
@@ -535,6 +535,16 @@ def test_instanton_reports_unconverged_tail_at_tiny_box():
     run = build_instanton(0.2, 0.0, TOL, box=3)
     assert not run.tail_converged
     assert run.tail_l1 > TOL.truncation_eps
+
+
+@pytest.mark.parametrize("box", [3, 20])
+def test_instanton_tail_is_the_l1_mass_of_the_boundary_ring(box):
+    """tail_l1 sums p's moduli over the ring max(|m|, |n|) = box in row-major
+    order: the mass that truncation to box - 1 drops, bit for bit."""
+    run = build_instanton(0.2, 0.0, TOL, box=box)
+    coeffs = dict(run.projection.coeffs)
+    assert max(max(abs(m), abs(n)) for m, n in coeffs) == box
+    assert run.tail_l1 == truncate_dict(coeffs, box - 1)[1] > 0.0
 
 
 def test_act_right_rejects_wrong_dual_theta():
