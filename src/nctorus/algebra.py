@@ -373,10 +373,14 @@ _twmul = _load_twmul()
 def mul(a: TorusElement, b: TorusElement) -> TorusElement:
     """Twisted convolution over the support sumset; exact, no truncation.
 
-    The compiled kernel adds a_i * (phase * b_j) into each output cell over
-    the left terms i in ascending order, with CPython's complex multiply and
-    add, so it agrees with mul_reference bit for bit (asserted in the test
-    suite).
+    The compiled kernel takes b's rows u from last to first, each over its
+    nonzero span, and for each column c of a in ascending order adds
+    a[i, c] * y, y = phase * b[u, span], into output row i + u.  An output
+    cell (r, s) meets row u only through i = r - u, so its terms come in
+    a's row-major order, as in mul_reference, and the zeros of b it meets
+    add nothing; with CPython's complex multiply and add it agrees with
+    mul_reference bit for bit (asserted in the test suite).  Cost:
+    nnz(a) x sum_u span_u(b) multiply-adds; scratch: y, one row of b.
     """
     _check_same_theta(a, b)
     if not (a.box.size and b.box.size):
@@ -386,7 +390,7 @@ def mul(a: TorusElement, b: TorusElement) -> TorusElement:
     _check_cells(shape)
     # tw[l, m] = exp(-2 pi i theta l m) for l over a's columns, m over b's rows
     tw = phases(a.theta, np.multiply.outer(_index_range(a, 1), _index_range(b, 0)))
-    y = np.empty((aw, bh, bw), dtype=complex)
+    y = np.empty(bw, dtype=complex)
     out = np.zeros(shape, dtype=complex)
     _twmul(a.box.ctypes.data, ah, aw, b.box.ctypes.data, bh, bw,
            tw.ctypes.data, y.ctypes.data, out.ctypes.data)

@@ -259,6 +259,19 @@ def mul_dict(theta, a, b):
     return _normal(out)
 
 
+def mul_cell(theta, a, b, key):
+    """mul_dict's coefficient at `key` alone: ca * (twist * cb) added over a's
+    cells in row-major order, starting from 0.0, for each a cell (k, l) whose
+    partner key - (k, l) b holds."""
+    r, s = key
+    total = 0.0
+    for (k, l), ca in sorted(a.items()):
+        cb = b.get((r - k, s - l))
+        if cb is not None:
+            total = total + ca * (_twist(theta, l, r - k) * cb)
+    return total
+
+
 def exp_i_dict(theta, h, t=1.0, series_eps=1e-15, max_order=60):
     """(coefficients, tail) of exp(i t h) by the pruned power series."""
     acc, term, tail, acc_tail = {(0, 0): 1.0 + 0.0j}, {(0, 0): 1.0 + 0.0j}, 0.0, 0.0

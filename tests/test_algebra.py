@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -58,6 +59,7 @@ from oracles import (
     laplacian_dict,
     matrix_rep,
     matrix_trace,
+    mul_cell,
     norms_dict,
     oracle_monomial_adjoint,
     oracle_monomial_product,
@@ -292,6 +294,100 @@ def test_mul_kernel_spreads_non_finite_cells_as_the_reference_does():
                              (1, 1): 2.0 - 1j})
     b = TorusElement(THETA, {(-1, 0): 1.0 + 1j, (1, 2): -0.5j, (0, 1): complex(0.0, -math.inf)})
     assert _same_product(a, b) and _same_product(b, a)
+
+
+def _diamond(rng, theta, radius):
+    """Random coefficients on |m| + |n| <= radius around a random centre: the
+    shape of the instanton's support."""
+    m0, n0 = (int(v) for v in rng.integers(-4, 5, size=2))
+    return TorusElement(theta, {(m0 + m, n0 + n): complex(*rng.standard_normal(2))
+                                for m in range(-radius, radius + 1)
+                                for n in range(-radius + abs(m), radius - abs(m) + 1)})
+
+
+def _ragged(rng, theta, non_finite=False):
+    """Rows whose nonzero spans start and end at different columns, a quarter
+    of them single cells, holes inside the spans, and one all-zero row and
+    one all-zero column inside the box (its two corners are kept).  With
+    non_finite, up to three nonzero cells become NaN or +-inf in one part."""
+    h, w = (int(v) for v in rng.integers(3, 9, size=2))
+    box = np.zeros((h, w), dtype=complex)
+    for i in range(h):
+        lo = int(rng.integers(w))
+        hi = lo + 1 if rng.random() < 0.25 else int(rng.integers(lo + 1, w + 1))
+        row = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
+        holes = rng.random(hi - lo) < 0.3
+        holes[[0, -1]] = False
+        row[holes] = 0
+        box[i, lo:hi] = row
+    box[int(rng.integers(1, h - 1)), :] = 0
+    box[:, int(rng.integers(1, w - 1))] = 0
+    box[0, 0], box[-1, -1] = 1.0 - 0.5j, -0.25 + 2j
+    if non_finite:
+        rows, cols = np.nonzero(box)
+        for k in rng.choice(len(rows), size=min(3, len(rows)), replace=False):
+            bad = [math.nan, math.inf, -math.inf][int(rng.integers(3))]
+            x = box[rows[k], cols[k]]
+            x = complex(bad, x.imag) if rng.random() < 0.5 else complex(x.real, bad)
+            box[rows[k], cols[k]] = x
+    m0, n0 = (int(v) for v in rng.integers(-6, 3, size=2))
+    return TorusElement.from_box(theta, (m0, n0), box)
+
+
+@seed(47)
+@settings(max_examples=12, deadline=None, database=None)
+@given(theta=st.floats(0.02, 0.98, exclude_min=True, exclude_max=True), s=st.integers(0, 10**6))
+def test_mul_kernel_keeps_the_bits_on_ragged_supports(theta, s):
+    """The kernel walks each row of b over its nonzero span only.  Diamonds,
+    ragged spans with holes, single-cell rows, an all-zero row and column,
+    and NaN and +-inf left cells that meet the right operand's holes: each
+    product, in both orders, is mul_reference's."""
+    rng = np.random.default_rng(s)
+    ops = [_diamond(rng, theta, int(rng.integers(1, 6))), _ragged(rng, theta), _ragged(rng, theta)]
+    bad = _ragged(rng, theta, non_finite=True)
+    for a in ops + [bad]:
+        for b in ops:
+            assert _same_product(a, b) and _same_product(b, a)
+
+
+def test_instanton_products_match_the_per_cell_oracle():
+    """200 seeded cells of the box-32 instanton's p p and p Lap p, half of
+    them at the ends of the rows' nonzero spans (the diamond's edge), against
+    oracles.mul_cell; mul_reference itself would take 3.5 M Python steps per
+    product."""
+    p = build_instanton(0.2, 0.0, DEFAULT_TOL, box=32).projection
+    rng = np.random.default_rng(53)
+    for a, b in ((p, p), (p, laplacian(p))):
+        product = mul(a, b)
+        keys = list(product.coeffs)
+        rows = {}
+        for key in keys:
+            rows.setdefault(key[0], []).append(key)
+        edge = [k for row in rows.values() for k in (row[0], row[-1])]
+        picked = [edge[i] for i in rng.choice(len(edge), 50, replace=False)]
+        picked += [keys[i] for i in rng.choice(len(keys), 50, replace=False)]
+        acoeffs, bcoeffs = dict(a.coeffs), dict(b.coeffs)
+        for key in picked:
+            want = complex(mul_cell(a.theta, acoeffs, bcoeffs, key))
+            got = product.coeffs[key]
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), key
+
+
+def test_mul_scratch_is_one_row_of_b():
+    """A 1 x 200 by 200 x 200 product holds the output box, the phase table
+    and one row of b; a scratch of aw x bh x bw cells would be 128 MB."""
+    a = TorusElement(THETA, {(0, 0): 1.0, (0, 199): 2.0j})
+    b = TorusElement(THETA, {(0, 0): 0.5, (199, 199): -1.0, (100, 7): 3.0})
+    out_bytes, table_bytes = 200 * 399 * 16, 200 * 200 * 16
+    tracemalloc.start()
+    try:
+        got = mul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table is formed from an index array and a complex temporary
+    assert peak < out_bytes + 3 * table_bytes
+    assert _same_product(a, b) and got.box.shape == (200, 399)
 
 
 @seed(23)
