@@ -101,6 +101,13 @@ def chern_number(p: TorusElement) -> float:
     return trace_product(p, mul(delta(1, p), delta(2, p))).imag / math.pi
 
 
+def _duality_residuals(p: TorusElement, ops) -> tuple[float, ...]:
+    """gns of op(delta_1(p), i delta_2(p)) p / 2 for each op: `sub` gives the
+    holomorphic factor (delta_1 - i delta_2)(p) / 2, `add` the antiholomorphic."""
+    d1, i_d2 = delta(1, p), scale(1j, delta(2, p))
+    return tuple(gns_norm(mul(scale(0.5, op(d1, i_d2)), p)) for op in ops)
+
+
 def duality_residuals(p: TorusElement) -> tuple[float, float]:
     """(holomorphic, antiholomorphic) residuals: gns of (delta_1 -+ i delta_2)(p) p / 2.
 
@@ -108,18 +115,14 @@ def duality_residuals(p: TorusElement) -> tuple[float, float]:
     one is tied to the sign of the Chern number (the holomorphic side for the
     Gaussian projections here, whose Chern number is -1).
     """
-    d1, d2 = delta(1, p), delta(2, p)
-    holo = scale(0.5, sub(d1, scale(1j, d2)))
-    anti = scale(0.5, add(d1, scale(1j, d2)))
-    return gns_norm(mul(holo, p)), gns_norm(mul(anti, p))
+    return _duality_residuals(p, (sub, add))
 
 
 def self_duality_residual(p: TorusElement) -> float:
     """Residual of the duality equation that forces equality in the
     energy-Chern bound for this module's orientation (Chern number -1):
     gns norm of (delta_1 - i delta_2)(p) p / 2."""
-    holo = scale(0.5, sub(delta(1, p), scale(1j, delta(2, p))))
-    return gns_norm(mul(holo, p))
+    return _duality_residuals(p, (sub,))[0]
 
 
 # --------------------------------------------------------------- chiral model

@@ -2,9 +2,7 @@
 
 import inspect
 import json
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,12 +386,3 @@ def test_box_cap_gives_exit_3(monkeypatch, capsys):
     assert code == EXIT_NUMERICAL
     assert "cap 1 " in json.loads(out)["convergence"][0]["error"]
 
-
-def test_compare_reports_finds_no_difference_between_a_tree_and_itself():
-    root = Path(__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "compare_reports.py"), str(root), str(root),
-         "--command", "models --model chiral --mn 1,2"],
-        capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout == "$ nctorus models --model chiral --mn 1,2\n  same\n"

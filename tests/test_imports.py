@@ -1,6 +1,6 @@
-"""Static hygiene: every module-level import in src/nctorus is used, every
-module-level private name is referenced, and every public error class of the
-library modules is exported from the package."""
+"""Static hygiene: every module-level import in src/nctorus and scripts/ is
+used, every module-level private name is referenced, and every public error
+class of the library modules is exported from the package."""
 
 import ast
 import importlib
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nctorus"
+SCRIPTS = SRC.parent.parent / "scripts"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,10 +46,10 @@ def test_detector_flags_unused_and_spares_used():
     assert unused_imports(source) == ["os (line 2)", "tau (line 4)"]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
-                                        if p.name != "__init__.py"))
+@pytest.mark.parametrize("path", sorted([p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+                                       + list(SCRIPTS.glob("*.py"))), ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    assert unused_imports((SRC / path).read_text()) == []
+    assert unused_imports(path.read_text()) == []
 
 
 def _private_names(node: ast.stmt) -> list[str]:
@@ -100,8 +101,9 @@ def test_private_detector_flags_dead_and_spares_referenced():
 
 
 def test_no_unreferenced_private_names():
-    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert unreferenced_privates(sources) == []
+    for directory in (SRC, SCRIPTS):  # the scripts run on their own, not as the package
+        sources = {p.stem: p.read_text() for p in sorted(directory.glob("*.py"))}
+        assert unreferenced_privates(sources) == []
 
 
 def public_exceptions(module) -> list[str]:
